@@ -49,13 +49,69 @@ PimLayerEngine::PimLayerEngine(ConvLayerInfo layer, EpitomeSpec spec,
                             r0, rc, c0, cc});
     }
   }
-}
 
-IntOutput PimLayerEngine::run(const IntImage& input, int act_bits) const {
-  std::int64_t clips = 0;
-  IntOutput out = run(input, act_bits, &clips);
-  clip_count_ = clips;
-  return out;
+  // Per-round output widths (the round's primary OFAT entry) and their
+  // column offsets within a position's row of partial sums.
+  const std::int64_t num_rounds = plan_.active_rounds();
+  std::vector<std::int64_t> round_co_len(
+      static_cast<std::size_t>(num_rounds), -1);
+  for (const OfatEntry& oe : tables_.ofat()) {
+    std::int64_t& len = round_co_len[static_cast<std::size_t>(oe.round)];
+    if (oe.replica_of < 0 && len < 0) len = oe.co_stop - oe.co_start;
+  }
+  round_co_offset_.assign(static_cast<std::size_t>(num_rounds), 0);
+  for (std::int64_t r = 0; r < num_rounds; ++r) {
+    EPIM_ASSERT(round_co_len[static_cast<std::size_t>(r)] >= 0,
+                "every active round has a primary OFAT entry");
+    round_co_offset_[static_cast<std::size_t>(r)] = partial_width_;
+    partial_width_ += round_co_len[static_cast<std::size_t>(r)];
+  }
+  for (const OfatEntry& oe : tables_.ofat()) {
+    const std::int64_t src = oe.replica_of >= 0 ? oe.replica_of : oe.round;
+    EPIM_ASSERT(oe.co_stop - oe.co_start <=
+                    round_co_len[static_cast<std::size_t>(src)],
+                "OFAT span wider than its source round");
+  }
+
+  // Decode the IFRT once: per round, the gather list and the tiles it
+  // drives. Gather offsets address the zero-padded input run() builds, so
+  // the per-position gather needs no bounds test. A tile sits out a round
+  // whose output is narrower than the tile's first column or that enables
+  // none of its word lines.
+  const ConvSpec& conv = layer_.conv;
+  const std::int64_t khw = conv.kernel_h * conv.kernel_w;
+  const std::int64_t padded_h = layer_.ifm_h + 2 * conv.pad;
+  const std::int64_t padded_w = layer_.ifm_w + 2 * conv.pad;
+  for (const IfatEntry& fa : tables_.ifat()) {
+    const IfrtSequence& seq =
+        tables_.ifrt()[static_cast<std::size_t>(fa.round)];
+    Round round{fa.round, {}, {}};
+    for (std::int64_t wl = 0; wl < rows; ++wl) {
+      const std::int32_t idx = seq.row_to_input[static_cast<std::size_t>(wl)];
+      if (idx == IfrtSequence::kInactiveRow) continue;
+      // idx = (segment channel * kh + ky) * kw + kx.
+      const std::int64_t ci = fa.ci_start + idx / khw;
+      const std::int64_t ky = (idx % khw) / conv.kernel_w;
+      const std::int64_t kx = idx % conv.kernel_w;
+      round.gather.push_back(
+          Gather{wl, (ci * padded_h + ky) * padded_w + kx});
+    }
+    const std::int64_t co_len =
+        round_co_len[static_cast<std::size_t>(fa.round)];
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      const Tile& tile = tiles_[t];
+      if (tile.col_begin >= co_len) continue;
+      TilePass pass{t, {}, std::min(tile.col_count, co_len - tile.col_begin)};
+      for (std::int64_t r = 0; r < tile.row_count; ++r) {
+        if (seq.row_to_input[static_cast<std::size_t>(tile.row_begin + r)] !=
+            IfrtSequence::kInactiveRow) {
+          pass.active.push_back(static_cast<std::int32_t>(r));
+        }
+      }
+      if (!pass.active.empty()) round.passes.push_back(std::move(pass));
+    }
+    rounds_.push_back(std::move(round));
+  }
 }
 
 IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
@@ -69,6 +125,7 @@ IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
   const std::int64_t oh = layer_.ofm_h();
   const std::int64_t ow = layer_.ofm_w();
   const std::int64_t rows = tables_.epitome_rows();
+  const std::int64_t width = partial_width_;
 
   IntOutput out;
   out.channels = conv.out_channels;
@@ -76,103 +133,74 @@ IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
   out.width = ow;
   out.data.assign(static_cast<std::size_t>(conv.out_channels * oh * ow), 0);
 
-  // Per-round output widths, invariant across positions (first primary OFAT
-  // entry of each round, as in the per-position scan this hoists).
-  std::vector<std::int64_t> round_co_len(
-      static_cast<std::size_t>(plan_.active_rounds()), 0);
-  std::vector<bool> round_seen(round_co_len.size(), false);
-  for (const OfatEntry& oe : tables_.ofat()) {
-    if (oe.replica_of < 0 && !round_seen[static_cast<std::size_t>(oe.round)]) {
-      round_seen[static_cast<std::size_t>(oe.round)] = true;
-      round_co_len[static_cast<std::size_t>(oe.round)] =
-          oe.co_stop - oe.co_start;
+  // The input with a zero border of conv.pad: every tap of every position
+  // reads inside it, and taps in the border drive 0.
+  const std::int64_t padded_h = input.height + 2 * conv.pad;
+  const std::int64_t padded_w = input.width + 2 * conv.pad;
+  std::vector<std::uint32_t> padded(
+      static_cast<std::size_t>(input.channels * padded_h * padded_w), 0u);
+  for (std::int64_t c = 0; c < input.channels; ++c) {
+    for (std::int64_t y = 0; y < input.height; ++y) {
+      std::copy_n(input.data.begin() + (c * input.height + y) * input.width,
+                  input.width,
+                  padded.begin() + (c * padded_h + y + conv.pad) * padded_w +
+                      conv.pad);
     }
   }
 
   // Output positions fan out across threads. Every position writes a
   // disjoint set of out.data cells and the per-position work is pure, so
   // the result is identical at any thread count; clip events accumulate per
-  // chunk and sum exactly. Scratch buffers live per chunk, allocated once
-  // and reused across all of the chunk's positions.
+  // chunk and sum exactly. The arenas live per chunk: the gathered codes
+  // (positions x word lines) and the partial sums (positions x width).
   const std::int64_t positions = oh * ow;
   const int chunks = std::max(num_chunks(positions), 1);
   std::vector<std::int64_t> chunk_clips(static_cast<std::size_t>(chunks), 0);
   parallel_for_chunks(positions, chunks, [&](int chunk, std::int64_t begin,
                                              std::int64_t end) {
-    std::vector<std::vector<std::int64_t>> partials(
-        static_cast<std::size_t>(plan_.active_rounds()));
-    std::vector<std::uint32_t> line_value(static_cast<std::size_t>(rows));
-    std::vector<bool> line_enable(static_cast<std::size_t>(rows));
-    std::vector<std::uint32_t> in;
-    std::vector<bool> en;
-    std::vector<std::int64_t> res;
+    const std::int64_t n = end - begin;
+    std::vector<std::uint32_t> codes(static_cast<std::size_t>(n * rows), 0u);
+    std::vector<std::int64_t> partials(static_cast<std::size_t>(n * width),
+                                       0);
     std::int64_t& clips = chunk_clips[static_cast<std::size_t>(chunk)];
 
-    for (std::int64_t pos = begin; pos < end; ++pos) {
-      const std::int64_t oy = pos / ow;
-      const std::int64_t ox = pos % ow;
-      // Crossbar activation rounds.
-      for (const IfatEntry& fa : tables_.ifat()) {
-        const IfrtSequence& seq =
-            tables_.ifrt()[static_cast<std::size_t>(fa.round)];
-        std::fill(line_value.begin(), line_value.end(), 0u);
-        std::fill(line_enable.begin(), line_enable.end(), false);
-        for (std::int64_t wl = 0; wl < rows; ++wl) {
-          const std::int32_t idx =
-              seq.row_to_input[static_cast<std::size_t>(wl)];
-          if (idx == IfrtSequence::kInactiveRow) continue;
-          // idx = (segment channel * kh + ky) * kw + kx.
-          const std::int64_t khw = conv.kernel_h * conv.kernel_w;
-          const std::int64_t ci = fa.ci_start + idx / khw;
-          const std::int64_t ky = (idx % khw) / conv.kernel_w;
-          const std::int64_t kx = idx % conv.kernel_w;
-          const std::int64_t iy = oy * conv.stride + ky - conv.pad;
-          const std::int64_t ix = ox * conv.stride + kx - conv.pad;
-          std::uint32_t v = 0;
-          if (iy >= 0 && iy < input.height && ix >= 0 && ix < input.width) {
-            v = input.data[static_cast<std::size_t>(
-                (ci * input.height + iy) * input.width + ix)];
-          }
-          line_value[static_cast<std::size_t>(wl)] = v;
-          line_enable[static_cast<std::size_t>(wl)] = true;
-        }
-        const std::int64_t co_len =
-            round_co_len[static_cast<std::size_t>(fa.round)];
-        auto& partial = partials[static_cast<std::size_t>(fa.round)];
-        partial.assign(static_cast<std::size_t>(co_len), 0);
-        for (const Tile& tile : tiles_) {
-          if (tile.col_begin >= co_len) continue;
-          in.assign(static_cast<std::size_t>(tile.row_count), 0u);
-          en.assign(static_cast<std::size_t>(tile.row_count), false);
-          bool any = false;
-          for (std::int64_t r = 0; r < tile.row_count; ++r) {
-            in[static_cast<std::size_t>(r)] =
-                line_value[static_cast<std::size_t>(tile.row_begin + r)];
-            const bool e =
-                line_enable[static_cast<std::size_t>(tile.row_begin + r)];
-            en[static_cast<std::size_t>(r)] = e;
-            any = any || e;
-          }
-          if (!any) continue;
-          tile.array.mvm(in, en, act_bits, res, &clips);
-          const std::int64_t cc = std::min(tile.col_count,
-                                           co_len - tile.col_begin);
-          for (std::int64_t c = 0; c < cc; ++c) {
-            partial[static_cast<std::size_t>(tile.col_begin + c)] +=
-                res[static_cast<std::size_t>(c)];
-          }
+    // Crossbar activation rounds: gather, then one kernel pass per tile.
+    for (const Round& round : rounds_) {
+      for (std::int64_t p = 0; p < n; ++p) {
+        const std::int64_t oy = (begin + p) / ow;
+        const std::int64_t ox = (begin + p) % ow;
+        const std::uint32_t* window =
+            padded.data() + (oy * padded_w + ox) * conv.stride;
+        std::uint32_t* line = codes.data() + p * rows;
+        for (const Gather& g : round.gather) {
+          line[g.word_line] = window[g.offset];
         }
       }
-      // Joint module / OFAT merge.
-      for (const OfatEntry& oe : tables_.ofat()) {
-        const std::int64_t co_len = oe.co_stop - oe.co_start;
-        const auto& src = partials[static_cast<std::size_t>(
-            oe.replica_of >= 0 ? oe.replica_of : oe.round)];
-        for (std::int64_t j = 0; j < co_len; ++j) {
-          std::int64_t& cell = out.data[static_cast<std::size_t>(
-              (oe.co_start + j) * oh * ow + pos)];
-          const std::int64_t v = src[static_cast<std::size_t>(j)];
-          cell = oe.accumulate ? cell + v : v;
+      std::int64_t* partial =
+          partials.data() + round_co_offset_[static_cast<std::size_t>(
+                                round.round)];
+      for (const TilePass& pass : round.passes) {
+        const Tile& tile = tiles_[pass.tile];
+        tile.array.mvm_rows(codes.data() + tile.row_begin, rows, n,
+                            pass.active, act_bits, partial + tile.col_begin,
+                            width, pass.ncols, &clips);
+      }
+    }
+    // Joint module / OFAT merge, entry by entry as the hardware applies
+    // them; every cell sees the same sequence of writes as a per-position
+    // merge.
+    for (const OfatEntry& oe : tables_.ofat()) {
+      const std::int64_t co_len = oe.co_stop - oe.co_start;
+      const std::int64_t* src =
+          partials.data() + round_co_offset_[static_cast<std::size_t>(
+                                oe.replica_of >= 0 ? oe.replica_of
+                                                   : oe.round)];
+      for (std::int64_t j = 0; j < co_len; ++j) {
+        std::int64_t* cell =
+            out.data.data() + (oe.co_start + j) * positions + begin;
+        for (std::int64_t p = 0; p < n; ++p) {
+          const std::int64_t v = src[p * width + j];
+          cell[p] = oe.accumulate ? cell[p] + v : v;
         }
       }
     }

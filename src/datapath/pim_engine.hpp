@@ -8,6 +8,20 @@
 // With adequate ADC resolution the result is bit-exact with the integer
 // reference convolution -- the end-to-end hardware-correctness test of the
 // repo -- and with a starved ADC it exhibits realistic clipping error.
+//
+// Execution layout. The constructor decodes every round's IFRT into a flat
+// gather list (word line, kernel offset, input-channel base) and every
+// tile's position-invariant active word-line list, so no table is decoded
+// per output position. run() splits the output positions into parallel
+// chunks; per round, a chunk gathers the codes of all its positions into
+// one contiguous (positions x word lines) uint32 arena (padding taps are
+// written as 0; word lines the round leaves inactive are never read), then
+// every tile the round drives makes ONE CrossbarArray::mvm_rows() call over
+// all of the chunk's positions, accumulating into a (positions x width)
+// partial-sum block per round. The OFAT merge then writes the output. The
+// arena is per chunk of one image's positions, never per batch, which
+// keeps the resident set small. Results are bit-identical to running every
+// position through the one-vector mvm() in turn.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +69,11 @@ class PimLayerEngine {
 
   /// Run the layer; activations must each fit in act_bits (unsigned).
   /// Output positions are processed in parallel (deterministically: every
-  /// position writes disjoint output cells).
-  IntOutput run(const IntImage& input, int act_bits) const;
-
-  /// Thread-safe variant: identical output, ADC clip events accumulated into
-  /// *clip_count instead of the mutable last_clip_count() diagnostic, so
-  /// concurrent callers sharing one programmed engine never race.
+  /// position writes disjoint output cells). ADC clip events are added to
+  /// *clip_count when it is non-null; run() mutates nothing, so concurrent
+  /// callers may share one programmed engine.
   IntOutput run(const IntImage& input, int act_bits,
                 std::int64_t* clip_count) const;
-
-  /// ADC clip events observed during the last run (0 means bit-exact).
-  /// Undefined under concurrent run() -- use the clip-out overload there.
-  std::int64_t last_clip_count() const { return clip_count_; }
 
  private:
   struct Tile {
@@ -74,13 +81,37 @@ class PimLayerEngine {
     std::int64_t row_begin, row_count;
     std::int64_t col_begin, col_count;
   };
+  /// One IFRT entry decoded: drive word line `word_line` with the code at
+  /// `offset` from the position's window origin in the zero-padded input,
+  /// offset = (ci * padded_h + ky) * padded_w + kx.
+  struct Gather {
+    std::int64_t word_line;
+    std::int64_t offset;
+  };
+  /// One tile driven by a round: its active word lines (tile-local,
+  /// ascending) and the output columns the round keeps.
+  struct TilePass {
+    std::size_t tile;
+    std::vector<std::int32_t> active;
+    std::int64_t ncols;
+  };
+  /// One crossbar activation round, in IFAT order.
+  struct Round {
+    std::int64_t round;
+    std::vector<Gather> gather;
+    std::vector<TilePass> passes;
+  };
 
   ConvLayerInfo layer_;
   SamplePlan plan_;
   IndexTables tables_;
   CrossbarConfig config_;
   std::vector<Tile> tiles_;
-  mutable std::int64_t clip_count_ = 0;
+  std::vector<Round> rounds_;
+  /// Per plan round id: offset of the round's output columns within a
+  /// position's row of partial sums, partial_width_ wide in total.
+  std::vector<std::int64_t> round_co_offset_;
+  std::int64_t partial_width_ = 0;
 };
 
 }  // namespace epim

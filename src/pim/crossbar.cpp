@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -92,24 +93,117 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
       }
     }
     never_clips_ = worst <= adc_max;
+    // Narrow direct path: int16 operands, int32 column sums. |w| <= offset
+    // and a masked input is at most act_max, so every partial sum over the
+    // rows_ rows is bounded by rows * offset * act_max; below 2^31 the int32
+    // sums are exact. Operands must also fit int16.
+    if (offset_ <= std::int64_t{1} << 15) {
+      narrow_act_max_ = std::min<std::int64_t>(
+          std::numeric_limits<std::int16_t>::max(),
+          std::numeric_limits<std::int32_t>::max() / offset_ / rows_);
+      weights_t16_.resize(plane);
+      for (std::int64_t r = 0; r < rows_; ++r) {
+        for (std::int64_t c = 0; c < cols_; ++c) {
+          weights_t16_[static_cast<std::size_t>(c * rows_ + r)] =
+              static_cast<std::int16_t>(
+                  signed_weights_[static_cast<std::size_t>(r * cols_ + c)]);
+        }
+      }
+    }
   }
 }
 
 namespace {
 
-/// Per-thread scratch for mvm(): the kernel is called once per tile per
-/// round per output position, so these buffers must not be reallocated per
-/// call. Thread-local keeps the thread-safe overload allocation-free and
+/// Per-thread scratch for the kernel: callers of the one-vector wrappers
+/// may call once per output position, so these buffers must not be
+/// reallocated per call. Thread-local keeps the kernel allocation-free and
 /// race-free; every element is overwritten before use, so results stay
 /// deterministic.
 thread_local std::vector<std::int32_t> t_active;
+thread_local std::vector<std::int16_t> t_x16;
+thread_local std::vector<std::int64_t> t_acc64;
 thread_local std::vector<double> t_current_analog;
 thread_local std::vector<std::int64_t> t_current_ideal;
 
 }  // namespace
 
-void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
-                               const std::vector<std::int32_t>& active,
+// The direct paths: with exact digits and a wide ADC the shift-add over
+// cycles and slices telescopes to sum_r in[r] * (w[r][c] + offset) with
+// in[r] = input[r] truncated to act_bits, and the offset correction cancels
+// against the truncated part of the bias -- so compute the signed product
+// outright. The bit-serial reference streams only act_bits input bits but
+// corrects with the *full* input sum; the residual term mirrors that
+// bit-for-bit (zero for in-contract inputs).
+
+void CrossbarArray::mvm_direct_narrow(const std::uint32_t* codes,
+                                      std::int64_t stride, std::int64_t n,
+                                      std::span<const std::int32_t> active,
+                                      std::uint32_t mask, std::int64_t* out,
+                                      std::int64_t out_stride,
+                                      std::int64_t ncols) const {
+  // One dense int16 input vector per position (inactive rows 0), then one
+  // int32 dot product per column against the transposed weights: a plain
+  // multiply-add reduction the compiler vectorizes.
+  std::vector<std::int16_t>& x = t_x16;
+  x.resize(static_cast<std::size_t>(rows_));
+  for (std::int64_t p = 0; p < n; ++p) {
+    const std::uint32_t* input = codes + p * stride;
+    std::fill(x.begin(), x.end(), std::int16_t{0});
+    std::int64_t full_sum = 0, masked_sum = 0;
+    for (const std::int32_t r : active) {
+      const std::uint32_t v = input[r];
+      full_sum += v;
+      masked_sum += v & mask;
+      x[static_cast<std::size_t>(r)] = static_cast<std::int16_t>(v & mask);
+    }
+    const std::int64_t residual = offset_ * (full_sum - masked_sum);
+    std::int64_t* o = out + p * out_stride;
+    for (std::int64_t c = 0; c < ncols; ++c) {
+      const std::int16_t* w = weights_t16_.data() + c * rows_;
+      std::int32_t sum = 0;
+      for (std::int64_t r = 0; r < rows_; ++r) {
+        sum += static_cast<std::int32_t>(x[static_cast<std::size_t>(r)]) *
+               static_cast<std::int32_t>(w[r]);
+      }
+      o[c] += sum - residual;
+    }
+  }
+}
+
+void CrossbarArray::mvm_direct_wide(const std::uint32_t* codes,
+                                    std::int64_t stride, std::int64_t n,
+                                    std::span<const std::int32_t> active,
+                                    std::uint32_t mask, std::int64_t* out,
+                                    std::int64_t out_stride,
+                                    std::int64_t ncols) const {
+  std::vector<std::int64_t>& acc = t_acc64;
+  acc.resize(static_cast<std::size_t>(ncols));
+  for (std::int64_t p = 0; p < n; ++p) {
+    const std::uint32_t* input = codes + p * stride;
+    std::fill(acc.begin(), acc.end(), 0);
+    std::int64_t full_sum = 0, masked_sum = 0;
+    for (const std::int32_t r : active) {
+      full_sum += input[r];
+      const std::int64_t in = input[r] & mask;
+      masked_sum += in;
+      if (in == 0) continue;
+      const std::int32_t* row =
+          signed_weights_.data() + static_cast<std::int64_t>(r) * cols_;
+      for (std::int64_t c = 0; c < ncols; ++c) {
+        acc[static_cast<std::size_t>(c)] += in * row[c];
+      }
+    }
+    const std::int64_t residual = offset_ * (full_sum - masked_sum);
+    std::int64_t* o = out + p * out_stride;
+    for (std::int64_t c = 0; c < ncols; ++c) {
+      o[c] += acc[static_cast<std::size_t>(c)] - residual;
+    }
+  }
+}
+
+void CrossbarArray::mvm_analog(const std::uint32_t* input,
+                               std::span<const std::int32_t> active,
                                int act_bits, std::int64_t* acc,
                                std::int64_t& clips) const {
   const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
@@ -125,7 +219,7 @@ void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
       const double* plane = cells_.data() + s * rows_ * cols_;
       std::fill(current.begin(), current.end(), 0.0);
       for (const std::int32_t r : active) {
-        if (((input[static_cast<std::size_t>(r)] >> t) & 1u) == 0u) continue;
+        if (((input[r] >> t) & 1u) == 0u) continue;
         const double* row = plane + static_cast<std::int64_t>(r) * cols_;
         for (std::int64_t c = 0; c < cols_; ++c) current[c] += row[c];
       }
@@ -144,8 +238,8 @@ void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
   }
 }
 
-void CrossbarArray::mvm_ideal_serial(const std::vector<std::uint32_t>& input,
-                                     const std::vector<std::int32_t>& active,
+void CrossbarArray::mvm_ideal_serial(const std::uint32_t* input,
+                                     std::span<const std::int32_t> active,
                                      int act_bits, std::int64_t* acc,
                                      std::int64_t& clips) const {
   // Same schedule as the analog path, but on exact integer digits: column
@@ -160,7 +254,7 @@ void CrossbarArray::mvm_ideal_serial(const std::vector<std::uint32_t>& input,
       const std::int32_t* plane = digits_.data() + s * rows_ * cols_;
       std::fill(current.begin(), current.end(), 0);
       for (const std::int32_t r : active) {
-        if (((input[static_cast<std::size_t>(r)] >> t) & 1u) == 0u) continue;
+        if (((input[r] >> t) & 1u) == 0u) continue;
         const std::int32_t* row = plane + static_cast<std::int64_t>(r) * cols_;
         for (std::int64_t c = 0; c < cols_; ++c) current[c] += row[c];
       }
@@ -176,6 +270,56 @@ void CrossbarArray::mvm_ideal_serial(const std::vector<std::uint32_t>& input,
   }
 }
 
+void CrossbarArray::mvm_rows(const std::uint32_t* codes, std::int64_t stride,
+                             std::int64_t n,
+                             std::span<const std::int32_t> active,
+                             int act_bits, std::int64_t* out,
+                             std::int64_t out_stride, std::int64_t ncols,
+                             std::int64_t* clip_count) const {
+  EPIM_CHECK(act_bits >= 1 && act_bits <= 32, "act_bits out of range");
+  EPIM_CHECK(ncols >= 0 && ncols <= cols_, "ncols out of range");
+  EPIM_CHECK(n >= 0 && (n <= 1 || stride >= rows_),
+             "code stride shorter than the logical rows");
+  EPIM_CHECK(active.empty() || (active.front() >= 0 && active.back() < rows_),
+             "active row out of range");
+
+  if (ideal_ && never_clips_) {
+    const std::uint32_t mask =
+        act_bits >= 32 ? 0xFFFF'FFFFu : (1u << act_bits) - 1u;
+    if (static_cast<std::int64_t>(mask) <= narrow_act_max_) {
+      mvm_direct_narrow(codes, stride, n, active, mask, out, out_stride,
+                        ncols);
+    } else {
+      mvm_direct_wide(codes, stride, n, active, mask, out, out_stride,
+                      ncols);
+    }
+    return;  // no clipping by construction
+  }
+
+  // Bit-serial paths: one vector at a time, every column (clip events are
+  // counted over the whole array), then the first ncols are added to out.
+  std::vector<std::int64_t>& acc = t_acc64;
+  std::int64_t clips = 0;
+  for (std::int64_t p = 0; p < n; ++p) {
+    const std::uint32_t* input = codes + p * stride;
+    acc.assign(static_cast<std::size_t>(cols_), 0);
+    if (ideal_) {
+      mvm_ideal_serial(input, active, act_bits, acc.data(), clips);
+    } else {
+      mvm_analog(input, active, act_bits, acc.data(), clips);
+    }
+    // Remove the offset-binary bias: stored = w + offset, so the analog
+    // result overcounts by offset * sum(enabled inputs).
+    std::int64_t input_sum = 0;
+    for (const std::int32_t r : active) input_sum += input[r];
+    std::int64_t* o = out + p * out_stride;
+    for (std::int64_t c = 0; c < ncols; ++c) {
+      o[c] += acc[static_cast<std::size_t>(c)] - offset_ * input_sum;
+    }
+  }
+  if (clip_count != nullptr) *clip_count += clips;
+}
+
 void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
                         const std::vector<bool>& row_enable, int act_bits,
                         std::vector<std::int64_t>& acc,
@@ -184,67 +328,18 @@ void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
              "input length must equal logical rows");
   EPIM_CHECK(static_cast<std::int64_t>(row_enable.size()) == rows_,
              "row_enable length must equal logical rows");
-  EPIM_CHECK(act_bits >= 1 && act_bits <= 32, "act_bits out of range");
-  acc.assign(static_cast<std::size_t>(cols_), 0);
-
-  // Row gating as a dense index list: every path below walks only the
-  // enabled word lines.
+  // Row gating as a dense index list: the kernel walks only the enabled
+  // word lines.
   std::vector<std::int32_t>& active = t_active;
   active.clear();
-  active.reserve(static_cast<std::size_t>(rows_));
   for (std::int64_t r = 0; r < rows_; ++r) {
     if (row_enable[static_cast<std::size_t>(r)]) {
       active.push_back(static_cast<std::int32_t>(r));
     }
   }
-
-  if (ideal_ && never_clips_) {
-    // Direct path: with exact digits and a wide ADC the shift-add over
-    // cycles and slices telescopes to sum_r in[r] * (w[r][c] + offset) with
-    // in[r] = input[r] truncated to act_bits, and the offset correction
-    // cancels against the truncated part of the bias -- so compute the
-    // signed product outright. For in-contract inputs the residual
-    // correction below is zero.
-    const std::uint32_t mask =
-        act_bits >= 32 ? 0xFFFF'FFFFu : (1u << act_bits) - 1u;
-    std::int64_t full_sum = 0, masked_sum = 0;
-    for (const std::int32_t r : active) {
-      full_sum += input[static_cast<std::size_t>(r)];
-      const std::int64_t in = input[static_cast<std::size_t>(r)] & mask;
-      masked_sum += in;
-      if (in == 0) continue;
-      const std::int64_t* row =
-          signed_weights_.data() + static_cast<std::int64_t>(r) * cols_;
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        acc[static_cast<std::size_t>(c)] += in * row[c];
-      }
-    }
-    if (full_sum != masked_sum) {
-      // The bit-serial reference streams only act_bits input bits but
-      // corrects with the *full* input sum; mirror that bit-for-bit.
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        acc[static_cast<std::size_t>(c)] -= offset_ * (full_sum - masked_sum);
-      }
-    }
-    return;  // no clipping by construction
-  }
-
-  std::int64_t clips = 0;
-  if (ideal_) {
-    mvm_ideal_serial(input, active, act_bits, acc.data(), clips);
-  } else {
-    mvm_analog(input, active, act_bits, acc.data(), clips);
-  }
-  // Remove the offset-binary bias: stored = w + offset, so the analog result
-  // overcounts by offset * sum(enabled inputs).
-  std::int64_t input_sum = 0;
-  for (const std::int32_t r : active) {
-    input_sum += input[static_cast<std::size_t>(r)];
-  }
-  for (std::int64_t c = 0; c < cols_; ++c) {
-    acc[static_cast<std::size_t>(c)] -= offset_ * input_sum;
-  }
-  if (clip_count != nullptr) *clip_count += clips;
+  acc.assign(static_cast<std::size_t>(cols_), 0);
+  mvm_rows(input.data(), rows_, 1, active, act_bits, acc.data(), cols_, cols_,
+           clip_count);
 }
 
 std::vector<std::int64_t> CrossbarArray::mvm(

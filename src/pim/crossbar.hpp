@@ -11,16 +11,27 @@
 // sweeps.
 //
 // Storage is one contiguous buffer (slice-major, row-major planes) walked
-// with pointer arithmetic, and two fast paths cover the ideal-device case:
-//  * wide-ADC ideal arrays (no clipping possible for any input) collapse the
-//    whole bit-serial schedule into one int64 dot product per column;
-//  * narrow-ADC ideal arrays run the bit-serial schedule on integer digits,
-//    reproducing ADC saturation without double round-trips.
-// Both are bit-identical to the analog reference path, which non-ideal
-// arrays still take.
+// with pointer arithmetic. The kernel is mvm_rows(): one call evaluates n
+// input vectors laid out as the rows of a (n x stride) code matrix -- the
+// layer engine's gather arena -- against one shared active word-line list.
+// It dispatches on the array's mode:
+//  * direct path (ideal array whose ADC can never clip for any input): the
+//    whole bit-serial schedule collapses to one signed dot product per
+//    column. It sums in int32 when rows x offset x (2^act_bits - 1) < 2^31,
+//    which bounds every partial sum and so proves int32 exact, taking its
+//    operands as int16 (inputs below 2^15, weights of at most 16 bits) so
+//    the dot product vectorizes on the baseline ISA; otherwise in int64;
+//  * ideal-serial path (ideal array, ADC too narrow): the bit-serial
+//    schedule on integer digits, reproducing ADC saturation;
+//  * analog path (non-ideal array): the double-precision reference.
+// The two bit-serial paths run vector by vector in ascending row order, so
+// their digits, doubles and clip counts are those of one-vector calls. All
+// three are bit-identical to the analog reference on an ideal array. The
+// per-vector mvm() overloads are n = 1 wrappers over the same kernel.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pim/config.hpp"
@@ -60,13 +71,24 @@ class CrossbarArray {
   std::int64_t logical_rows() const { return rows_; }
   std::int64_t logical_cols() const { return cols_; }
 
-  /// Bit-serial MVM: `input` holds unsigned integer activations (each fitting
-  /// in act_bits) for every logical row; `row_enable` masks word lines (the
-  /// IFRT mechanism: disabled rows contribute nothing). Returns one signed
-  /// integer accumulator per logical column.
+  /// Bit-serial MVM over n input vectors. Vector p's code for logical row r
+  /// is codes[p * stride + r] (unsigned, each fitting in act_bits); only the
+  /// rows listed in `active` (ascending, each < logical_rows()) are driven --
+  /// the IFRT mechanism: disabled rows contribute nothing and are never read.
+  /// The first `ncols` column accumulators of vector p are *added* to
+  /// out[p * out_stride + c]. ADC clip events (counted over every column)
+  /// are added to *clip_count when it is non-null.
   ///
   /// The computation is exact iff every per-cycle column current fits in the
   /// ADC range; otherwise currents clip (saturating ADC).
+  void mvm_rows(const std::uint32_t* codes, std::int64_t stride,
+                std::int64_t n, std::span<const std::int32_t> active,
+                int act_bits, std::int64_t* out, std::int64_t out_stride,
+                std::int64_t ncols, std::int64_t* clip_count) const;
+
+  /// One input vector: `input` holds an activation for every logical row;
+  /// `row_enable` masks word lines. Returns one signed integer accumulator
+  /// per logical column.
   std::vector<std::int64_t> mvm(const std::vector<std::uint32_t>& input,
                                 const std::vector<bool>& row_enable,
                                 int act_bits) const;
@@ -89,14 +111,25 @@ class CrossbarArray {
   std::int64_t last_clip_count() const { return clip_count_; }
 
  private:
-  /// Analog reference path (always taken by non-ideal arrays).
-  void mvm_analog(const std::vector<std::uint32_t>& input,
-                  const std::vector<std::int32_t>& active, int act_bits,
+  /// Direct path, int16 operands and int32 column sums (exact by the
+  /// narrow_act_max_ bound).
+  void mvm_direct_narrow(const std::uint32_t* codes, std::int64_t stride,
+                         std::int64_t n, std::span<const std::int32_t> active,
+                         std::uint32_t mask, std::int64_t* out,
+                         std::int64_t out_stride, std::int64_t ncols) const;
+  /// Direct path, int64 column sums: any input width.
+  void mvm_direct_wide(const std::uint32_t* codes, std::int64_t stride,
+                       std::int64_t n, std::span<const std::int32_t> active,
+                       std::uint32_t mask, std::int64_t* out,
+                       std::int64_t out_stride, std::int64_t ncols) const;
+  /// Analog reference path (always taken by non-ideal arrays), one vector.
+  void mvm_analog(const std::uint32_t* input,
+                  std::span<const std::int32_t> active, int act_bits,
                   std::int64_t* acc, std::int64_t& clips) const;
   /// Ideal array, ADC too narrow for the worst-case column current:
   /// bit-serial on integer digits, bit-identical saturation behaviour.
-  void mvm_ideal_serial(const std::vector<std::uint32_t>& input,
-                        const std::vector<std::int32_t>& active, int act_bits,
+  void mvm_ideal_serial(const std::uint32_t* input,
+                        std::span<const std::int32_t> active, int act_bits,
                         std::int64_t* acc, std::int64_t& clips) const;
 
   CrossbarConfig config_;
@@ -113,8 +146,15 @@ class CrossbarArray {
   /// operands of the bit-serial integer fast path.
   std::vector<std::int32_t> digits_;
   /// Ideal arrays only: the signed logical weights, row-major (rows x cols),
-  /// the operands of the direct int64 fast path.
-  std::vector<std::int64_t> signed_weights_;
+  /// the operands of the direct path.
+  std::vector<std::int32_t> signed_weights_;
+  /// Ideal arrays with offset <= 2^15 only: the same weights as int16,
+  /// transposed (cols x rows), the operands of the narrow direct path.
+  std::vector<std::int16_t> weights_t16_;
+  /// Largest 2^act_bits - 1 the narrow direct path takes: inputs fit int16
+  /// and rows x offset x (2^act_bits - 1) < 2^31, so int32 sums are exact.
+  /// 0 when the weights do not fit int16.
+  std::int64_t narrow_act_max_ = 0;
   bool ideal_ = true;
   /// True when no per-cycle column current can exceed the ADC range for any
   /// input (precomputed worst case: all rows enabled, all input bits set);

@@ -161,6 +161,18 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       config_.reslice_bursts &&
       images.size() > static_cast<std::size_t>(config_.max_batch);
 
+  // The input quantizer rounds |v| / scale to an integer code, which has no
+  // defined result for NaN or an infinity: reject such an image before
+  // anything of the burst is enqueued. The scan needs no lock.
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const Tensor& image = images[i];
+    EPIM_CHECK(std::all_of(image.data(), image.data() + image.numel(),
+                           [](float v) { return std::isfinite(v); }),
+               std::string(kErrNonFiniteInput) + ": image " +
+                   std::to_string(i) + " of " +
+                   std::to_string(images.size()));
+  }
+
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(images.size());
   const auto now = Clock::now();

@@ -249,6 +249,12 @@ class InferenceService {
   /// epim::DeadlineExceeded this service raises.
   static constexpr const char* kErrDeadlineExceeded =
       "request deadline exceeded before execution started";
+  /// Non-finite-input message prefix (pinned by tests): a submitted image
+  /// holds a NaN or an infinity, which the input quantizer cannot map to a
+  /// code. submit() and submit_batch() reject it (InvalidArgument) before
+  /// anything is enqueued.
+  static constexpr const char* kErrNonFiniteInput =
+      "submitted image holds a non-finite value (NaN or Inf)";
 
  private:
   void worker_loop(std::size_t worker) EPIM_EXCLUDES(mu_, stats_mu_);

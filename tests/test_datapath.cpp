@@ -2,9 +2,13 @@
 // correctness contract -- an epitome layer executed through the
 // IFAT/IFRT/OFAT datapath equals the convolution with the epitome's
 // reconstructed weights, in float (DatapathSimulator) and bit-exactly in
-// integers on functional crossbars (PimLayerEngine).
+// integers on functional crossbars (PimLayerEngine) -- whose gather-arena
+// execution must also match a golden copy of the per-position engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "datapath/datapath_sim.hpp"
 #include "datapath/index_tables.hpp"
@@ -18,6 +22,12 @@ namespace {
 ConvLayerInfo make_layer(ConvSpec conv, std::int64_t hw) {
   return {"layer", conv, hw, hw};
 }
+
+/// Restores the entry thread count on scope exit so tests compose.
+struct ThreadGuard {
+  int saved = num_threads();
+  ~ThreadGuard() { set_num_threads(saved); }
+};
 
 TEST(IndexTables, OneIfatEntryPerActiveRound) {
   const ConvSpec conv{16, 32, 3, 3, 1, 1};
@@ -263,8 +273,9 @@ TEST_P(EngineExactness, BitExactAgainstIntegerConv) {
   for (auto& v : img.data) {
     v = static_cast<std::uint32_t>(rng.uniform_int(0, (1 << c.act_bits) - 1));
   }
-  const IntOutput got = engine.run(img, c.act_bits);
-  EXPECT_EQ(engine.last_clip_count(), 0);
+  std::int64_t clips = 0;
+  const IntOutput got = engine.run(img, c.act_bits, &clips);
+  EXPECT_EQ(clips, 0);
   const auto want = int_reference_conv(wmat, spec, layer, img);
   ASSERT_EQ(got.data.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -280,6 +291,286 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{8, 8, 1, 4, 1, 1, 4, 4, 5, 6, false},
         EngineCase{4, 10, 3, 6, 5, 5, 2, 5, 3, 8, false},
         EngineCase{12, 6, 3, 4, 4, 4, 6, 3, 8, 4, false}));
+
+// ---- the engine against a golden copy of the per-position engine ----
+
+/// Copy of the engine before the gather arena: the same tiling and
+/// per-tile non-ideality seeds, then, for every output position and round,
+/// the IFRT decoded on the spot and one-vector CrossbarArray::mvm() per
+/// tile, merged through the OFAT position by position. The production
+/// engine must match it bit for bit, clip counts included.
+class GoldenEngine {
+ public:
+  GoldenEngine(ConvLayerInfo layer, EpitomeSpec spec,
+               const std::vector<std::vector<int>>& weights, int weight_bits,
+               const CrossbarConfig& config,
+               const NonIdealityConfig& non_ideal)
+      : layer_(std::move(layer)), plan_(spec, layer_.conv), tables_(plan_) {
+    const std::int64_t rows = spec.rows();
+    const std::int64_t cols = spec.cout_e;
+    const std::int64_t slices = config.weight_slices(weight_bits);
+    const std::int64_t cols_per_tile =
+        std::max<std::int64_t>(1, config.cols / slices);
+    for (std::int64_t r0 = 0; r0 < rows; r0 += config.rows) {
+      const std::int64_t rc = std::min(config.rows, rows - r0);
+      for (std::int64_t c0 = 0; c0 < cols; c0 += cols_per_tile) {
+        const std::int64_t cc = std::min(cols_per_tile, cols - c0);
+        std::vector<std::vector<int>> block(
+            static_cast<std::size_t>(rc),
+            std::vector<int>(static_cast<std::size_t>(cc)));
+        for (std::int64_t r = 0; r < rc; ++r) {
+          for (std::int64_t c = 0; c < cc; ++c) {
+            block[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
+                weights[static_cast<std::size_t>(r0 + r)]
+                       [static_cast<std::size_t>(c0 + c)];
+          }
+        }
+        NonIdealityConfig tile_ni = non_ideal;
+        tile_ni.seed = non_ideal.seed + static_cast<std::uint64_t>(
+                                            tiles_.size() * 0x9E37'79B9u);
+        tiles_.push_back(Tile{CrossbarArray(config, weight_bits, block,
+                                            tile_ni),
+                              r0, rc, c0, cc});
+      }
+    }
+  }
+
+  IntOutput run(const IntImage& input, int act_bits,
+                std::int64_t& clips) const {
+    const ConvSpec& conv = layer_.conv;
+    const std::int64_t oh = layer_.ofm_h();
+    const std::int64_t ow = layer_.ofm_w();
+    const std::int64_t rows = tables_.epitome_rows();
+    IntOutput out;
+    out.channels = conv.out_channels;
+    out.height = oh;
+    out.width = ow;
+    out.data.assign(static_cast<std::size_t>(conv.out_channels * oh * ow), 0);
+    std::vector<std::int64_t> round_co_len(
+        static_cast<std::size_t>(plan_.active_rounds()), 0);
+    std::vector<bool> round_seen(round_co_len.size(), false);
+    for (const OfatEntry& oe : tables_.ofat()) {
+      if (oe.replica_of < 0 &&
+          !round_seen[static_cast<std::size_t>(oe.round)]) {
+        round_seen[static_cast<std::size_t>(oe.round)] = true;
+        round_co_len[static_cast<std::size_t>(oe.round)] =
+            oe.co_stop - oe.co_start;
+      }
+    }
+    std::vector<std::vector<std::int64_t>> partials(
+        static_cast<std::size_t>(plan_.active_rounds()));
+    std::vector<std::uint32_t> line_value(static_cast<std::size_t>(rows));
+    std::vector<bool> line_enable(static_cast<std::size_t>(rows));
+    std::vector<std::uint32_t> in;
+    std::vector<bool> en;
+    std::vector<std::int64_t> res;
+    for (std::int64_t pos = 0; pos < oh * ow; ++pos) {
+      const std::int64_t oy = pos / ow;
+      const std::int64_t ox = pos % ow;
+      for (const IfatEntry& fa : tables_.ifat()) {
+        const IfrtSequence& seq =
+            tables_.ifrt()[static_cast<std::size_t>(fa.round)];
+        std::fill(line_value.begin(), line_value.end(), 0u);
+        std::fill(line_enable.begin(), line_enable.end(), false);
+        for (std::int64_t wl = 0; wl < rows; ++wl) {
+          const std::int32_t idx =
+              seq.row_to_input[static_cast<std::size_t>(wl)];
+          if (idx == IfrtSequence::kInactiveRow) continue;
+          const std::int64_t khw = conv.kernel_h * conv.kernel_w;
+          const std::int64_t ci = fa.ci_start + idx / khw;
+          const std::int64_t ky = (idx % khw) / conv.kernel_w;
+          const std::int64_t kx = idx % conv.kernel_w;
+          const std::int64_t iy = oy * conv.stride + ky - conv.pad;
+          const std::int64_t ix = ox * conv.stride + kx - conv.pad;
+          std::uint32_t v = 0;
+          if (iy >= 0 && iy < input.height && ix >= 0 && ix < input.width) {
+            v = input.data[static_cast<std::size_t>(
+                (ci * input.height + iy) * input.width + ix)];
+          }
+          line_value[static_cast<std::size_t>(wl)] = v;
+          line_enable[static_cast<std::size_t>(wl)] = true;
+        }
+        const std::int64_t co_len =
+            round_co_len[static_cast<std::size_t>(fa.round)];
+        auto& partial = partials[static_cast<std::size_t>(fa.round)];
+        partial.assign(static_cast<std::size_t>(co_len), 0);
+        for (const Tile& tile : tiles_) {
+          if (tile.col_begin >= co_len) continue;
+          in.assign(static_cast<std::size_t>(tile.row_count), 0u);
+          en.assign(static_cast<std::size_t>(tile.row_count), false);
+          bool any = false;
+          for (std::int64_t r = 0; r < tile.row_count; ++r) {
+            in[static_cast<std::size_t>(r)] =
+                line_value[static_cast<std::size_t>(tile.row_begin + r)];
+            const bool e =
+                line_enable[static_cast<std::size_t>(tile.row_begin + r)];
+            en[static_cast<std::size_t>(r)] = e;
+            any = any || e;
+          }
+          if (!any) continue;
+          tile.array.mvm(in, en, act_bits, res, &clips);
+          const std::int64_t cc =
+              std::min(tile.col_count, co_len - tile.col_begin);
+          for (std::int64_t c = 0; c < cc; ++c) {
+            partial[static_cast<std::size_t>(tile.col_begin + c)] +=
+                res[static_cast<std::size_t>(c)];
+          }
+        }
+      }
+      for (const OfatEntry& oe : tables_.ofat()) {
+        const std::int64_t co_len = oe.co_stop - oe.co_start;
+        const auto& src = partials[static_cast<std::size_t>(
+            oe.replica_of >= 0 ? oe.replica_of : oe.round)];
+        for (std::int64_t j = 0; j < co_len; ++j) {
+          std::int64_t& cell = out.data[static_cast<std::size_t>(
+              (oe.co_start + j) * oh * ow + pos)];
+          const std::int64_t v = src[static_cast<std::size_t>(j)];
+          cell = oe.accumulate ? cell + v : v;
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Tile {
+    CrossbarArray array;
+    std::int64_t row_begin, row_count;
+    std::int64_t col_begin, col_count;
+  };
+  ConvLayerInfo layer_;
+  SamplePlan plan_;
+  IndexTables tables_;
+  std::vector<Tile> tiles_;
+};
+
+struct GoldenEngineCase {
+  const char* name;
+  std::int64_t cin, cout, k, stride, hw;
+  std::int64_t p, q, cin_e, cout_e;
+  bool wrap;
+  int weight_bits, act_bits, adc_bits;
+  NonIdealityConfig non_ideal;
+  std::int64_t xbar_rows, xbar_cols;  ///< small values force tiling
+  bool signed_split;  ///< first-block x = x+ - x- encoding
+  bool clips;         ///< the ADC is narrow enough to clip
+};
+
+class EngineGolden : public ::testing::TestWithParam<GoldenEngineCase> {};
+
+TEST_P(EngineGolden, MatchesPerPositionEngineAtOneAndFourThreads) {
+  const GoldenEngineCase& c = GetParam();
+  Rng rng(4242);
+  const ConvSpec conv{c.cin, c.cout, c.k, c.k, c.stride, c.k / 2};
+  EpitomeSpec spec{c.p, c.q, c.cin_e, c.cout_e};
+  spec.wrap_output = c.wrap;
+  const ConvLayerInfo layer = make_layer(conv, c.hw);
+  const auto wmat = epitome_int_matrix(rng, spec, c.weight_bits);
+  CrossbarConfig cfg;
+  cfg.adc_bits = c.adc_bits;
+  cfg.rows = c.xbar_rows;
+  cfg.cols = c.xbar_cols;
+  const GoldenEngine golden(layer, spec, wmat, c.weight_bits, cfg,
+                            c.non_ideal);
+  const PimLayerEngine engine(layer, spec, wmat, c.weight_bits, cfg,
+                              c.non_ideal);
+
+  // Codes drawn signed; the split case drives their positive and negative
+  // parts as two passes, the others drive the magnitudes.
+  std::vector<int> values(static_cast<std::size_t>(c.cin * c.hw * c.hw));
+  const int vmax = (1 << c.act_bits) - 1;
+  for (auto& v : values) {
+    v = rng.uniform_int(c.signed_split ? -vmax : 0, vmax);
+  }
+  auto image = [&](auto select) {
+    IntImage img;
+    img.channels = c.cin;
+    img.height = c.hw;
+    img.width = c.hw;
+    for (const int v : values) {
+      img.data.push_back(static_cast<std::uint32_t>(select(v)));
+    }
+    return img;
+  };
+  std::vector<IntImage> passes;
+  if (c.signed_split) {
+    passes.push_back(image([](int v) { return v > 0 ? v : 0; }));
+    passes.push_back(image([](int v) { return v < 0 ? -v : 0; }));
+  } else {
+    passes.push_back(image([](int v) { return v; }));
+  }
+
+  std::vector<std::int64_t> want;
+  std::int64_t want_clips = 0;
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const IntOutput o = golden.run(passes[i], c.act_bits, want_clips);
+    if (i == 0) {
+      want = o.data;
+    } else {
+      for (std::size_t j = 0; j < want.size(); ++j) want[j] -= o.data[j];
+    }
+  }
+
+  EXPECT_EQ(want_clips > 0, c.clips) << c.name;
+
+  ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    std::vector<std::int64_t> got;
+    std::int64_t clips = 0;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+      const IntOutput o = engine.run(passes[i], c.act_bits, &clips);
+      ASSERT_EQ(o.channels, c.cout);
+      if (i == 0) {
+        got = o.data;
+      } else {
+        for (std::size_t j = 0; j < got.size(); ++j) got[j] -= o.data[j];
+      }
+    }
+    EXPECT_EQ(got, want) << c.name << " threads=" << threads;
+    EXPECT_EQ(clips, want_clips) << c.name << " threads=" << threads;
+  }
+}
+
+NonIdealityConfig engine_noise() {
+  NonIdealityConfig ni;
+  ni.conductance_sigma = 0.2;
+  ni.stuck_at_zero_prob = 0.01;
+  ni.stuck_at_max_prob = 0.01;
+  return ni;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, EngineGolden,
+    ::testing::Values(
+        // Wide ADC: the direct path over row and column tiles (96 word
+        // lines on 32-row crossbars; 20 columns, 7 per 21-bit-line tile).
+        GoldenEngineCase{"direct_tiled", 12, 20, 3, 1, 6, 4, 4, 6, 20, false,
+                         6, 8, 12, {}, 32, 21, false, false},
+        // Narrow ADC on ideal arrays: clipping bit-serial path.
+        GoldenEngineCase{"narrow_adc", 8, 16, 3, 1, 6, 4, 4, 4, 8, false, 6,
+                         8, 4, {}, 128, 128, false, true},
+        GoldenEngineCase{"narrow_adc_tiled_stride2", 10, 6, 3, 2, 7, 5, 5, 3,
+                         4, false, 5, 6, 3, {}, 24, 9, false, true},
+        // Non-ideal arrays: analog path.
+        GoldenEngineCase{"non_ideal", 8, 16, 3, 1, 5, 4, 4, 4, 8, false, 6, 6,
+                         9, engine_noise(), 64, 128, false, false},
+        GoldenEngineCase{"non_ideal_clipping", 8, 16, 3, 1, 5, 4, 4, 4, 8,
+                         false, 6, 6, 4, engine_noise(), 48, 12, false, true},
+        // Channel wrapping: OFAT replicas of earlier rounds.
+        GoldenEngineCase{"wrapped", 8, 24, 3, 1, 5, 4, 4, 4, 8, true, 6, 8,
+                         12, {}, 128, 128, false, false},
+        GoldenEngineCase{"wrapped_narrow_adc", 7, 9, 3, 1, 5, 6, 4, 3, 4,
+                         true, 6, 6, 4, {}, 40, 6, false, true},
+        // The runtime's first block: a plain conv as a degenerate epitome,
+        // signed inputs as two passes at act_bits - 1.
+        GoldenEngineCase{"signed_split", 3, 16, 3, 1, 8, 3, 3, 3, 16, false,
+                         6, 7, 12, {}, 128, 128, true, false},
+        GoldenEngineCase{"signed_split_narrow_adc", 3, 16, 3, 1, 8, 3, 3, 3,
+                         16, false, 6, 7, 4, {}, 128, 128, true, true}),
+    [](const ::testing::TestParamInfo<GoldenEngineCase>& info) {
+      return info.param.name;
+    });
 
 TEST(PimEngine, CrossbarCountMatchesTiling) {
   Rng rng(5);

@@ -3,7 +3,9 @@
 // fast paths) must be bit-identical to the seed implementation in every
 // regime -- ideal wide-ADC (direct integer path), ideal starved-ADC
 // (integer bit-serial path with saturation), and non-ideal (analog path),
-// including partial row_enable masks and the clip diagnostics.
+// including partial row_enable masks and the clip diagnostics -- and the
+// batched mvm_rows() kernel must equal one-vector calls position by
+// position.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -241,6 +243,132 @@ TEST(KernelFastPath, ClipCountAccumulatesThroughThreadSafeOverload) {
   EXPECT_GT(once, 0);
   kernel.mvm(x, en, 8, acc, &clips);  // accumulates, does not reset
   EXPECT_EQ(clips, 2 * once);
+}
+
+// ---- batched kernel: mvm_rows over n positions == n one-vector calls ----
+
+struct RowsCase {
+  const char* name;
+  std::int64_t rows, cols;
+  int weight_bits, act_bits, adc_bits;
+  NonIdealityConfig non_ideal;
+  double enable_prob;
+  int code_bits;  ///< width of the drawn codes (> act_bits: out of contract)
+};
+
+class KernelRows : public ::testing::TestWithParam<RowsCase> {};
+
+TEST_P(KernelRows, BatchedEqualsOneVectorCalls) {
+  const RowsCase& p = GetParam();
+  Rng rng(0xBA7C4u);
+  CrossbarConfig cfg;
+  cfg.adc_bits = p.adc_bits;
+  const int lo = -(1 << (p.weight_bits - 1));
+  const int hi = (1 << (p.weight_bits - 1)) - 1;
+  std::vector<std::vector<int>> w(
+      static_cast<std::size_t>(p.rows),
+      std::vector<int>(static_cast<std::size_t>(p.cols)));
+  for (auto& row : w) {
+    for (auto& v : row) v = rng.uniform_int(lo, hi);
+  }
+  const CrossbarArray kernel(cfg, p.weight_bits, w, p.non_ideal);
+
+  // A (positions x stride) code matrix with padding columns past the rows,
+  // and one active-row list shared by every position.
+  const std::int64_t n = 9, stride = p.rows + 3;
+  std::vector<std::uint32_t> codes(static_cast<std::size_t>(n * stride));
+  for (auto& v : codes) {
+    v = static_cast<std::uint32_t>(rng.uniform_int(0, (1 << p.code_bits) - 1));
+  }
+  std::vector<bool> en(static_cast<std::size_t>(p.rows));
+  std::vector<std::int32_t> active;
+  for (std::int64_t r = 0; r < p.rows; ++r) {
+    en[static_cast<std::size_t>(r)] = rng.flip(p.enable_prob);
+    if (en[static_cast<std::size_t>(r)]) {
+      active.push_back(static_cast<std::int32_t>(r));
+    }
+  }
+
+  // out starts non-zero: the kernel adds, it does not overwrite; ncols
+  // keeps only a prefix of the columns.
+  const std::int64_t ncols = std::max<std::int64_t>(1, p.cols - 1);
+  const std::int64_t out_stride = ncols + 2;
+  std::vector<std::int64_t> out(static_cast<std::size_t>(n * out_stride), 7);
+  std::int64_t batched_clips = 0;
+  kernel.mvm_rows(codes.data(), stride, n, active, p.act_bits, out.data(),
+                  out_stride, ncols, &batched_clips);
+
+  std::int64_t single_clips = 0;
+  for (std::int64_t pos = 0; pos < n; ++pos) {
+    const std::vector<std::uint32_t> x(
+        codes.begin() + pos * stride, codes.begin() + pos * stride + p.rows);
+    std::vector<std::int64_t> want;
+    kernel.mvm(x, en, p.act_bits, want, &single_clips);
+    for (std::int64_t c = 0; c < out_stride; ++c) {
+      const std::int64_t expect =
+          c < ncols ? 7 + want[static_cast<std::size_t>(c)] : 7;
+      EXPECT_EQ(out[static_cast<std::size_t>(pos * out_stride + c)], expect)
+          << p.name << " position " << pos << " col " << c;
+    }
+  }
+  EXPECT_EQ(batched_clips, single_clips) << p.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, KernelRows,
+    ::testing::Values(
+        // Direct path, narrow (int32 sums) and wide (act_bits 16 > int16).
+        RowsCase{"direct", 128, 16, 6, 8, 12, {}, 0.6, 8},
+        RowsCase{"direct_wide", 40, 7, 6, 16, 12, {}, 0.8, 16},
+        // Narrow ADC on an ideal array: bit-serial integer path, clipping.
+        RowsCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 0.9, 8},
+        // Non-ideal array: analog path.
+        RowsCase{"analog", 48, 6, 8, 8, 4, noisy(), 0.8, 8},
+        // Codes wider than act_bits, on every mode.
+        RowsCase{"direct_wide_codes", 37, 5, 5, 3, 12, {}, 0.7, 10},
+        RowsCase{"clip_wide_codes", 32, 4, 6, 4, 3, {}, 1.0, 9},
+        RowsCase{"analog_wide_codes", 24, 4, 6, 4, 12, sigma_only(), 0.8,
+                 7}),
+    [](const ::testing::TestParamInfo<RowsCase>& info) {
+      return info.param.name;
+    });
+
+/// Worst-case direct-path product: every row drives the largest code into
+/// the most negative weight, so |sum| = rows * offset * (2^act_bits - 1).
+void expect_worst_case_exact(std::int64_t rows, int weight_bits,
+                             int act_bits) {
+  CrossbarConfig cfg;
+  cfg.adc_bits = 12;  // wide: the direct path
+  const int w_min = -(1 << (weight_bits - 1));
+  const std::vector<std::vector<int>> w(
+      static_cast<std::size_t>(rows), std::vector<int>(2, w_min));
+  const CrossbarArray kernel(cfg, weight_bits, w);
+  const SeedCrossbar seed(cfg, weight_bits, w);
+  const std::uint32_t code = (1u << act_bits) - 1u;
+  const std::vector<std::uint32_t> x(static_cast<std::size_t>(rows), code);
+  const std::vector<bool> en(static_cast<std::size_t>(rows), true);
+  const std::int64_t exact = static_cast<std::int64_t>(rows) * w_min *
+                             static_cast<std::int64_t>(code);
+  const auto got = kernel.mvm(x, en, act_bits);
+  EXPECT_EQ(got, std::vector<std::int64_t>(2, exact));
+  EXPECT_EQ(got, seed.mvm(x, en, act_bits));
+}
+
+TEST(KernelDirect, Int32SumsJustBelowTwoToThe31) {
+  // rows * offset * (2^act_bits - 1) = 2 * 2^15 * (2^15 - 1) = 2^31 - 2^16:
+  // the int32 accumulator is exact and the most negative sum still fits.
+  EXPECT_LT(std::int64_t{2} * (1 << 15) * ((1 << 15) - 1),
+            std::int64_t{1} << 31);
+  expect_worst_case_exact(/*rows=*/2, /*weight_bits=*/16, /*act_bits=*/15);
+}
+
+TEST(KernelDirect, Int64SumsAtAndAboveTwoToThe31) {
+  // One row more crosses 2^31: int32 would wrap, so the kernel must widen.
+  EXPECT_GE(std::int64_t{3} * (1 << 15) * ((1 << 15) - 1),
+            std::int64_t{1} << 31);
+  expect_worst_case_exact(/*rows=*/3, /*weight_bits=*/16, /*act_bits=*/15);
+  // Codes wider than int16 widen too, however small the bound.
+  expect_worst_case_exact(/*rows=*/2, /*weight_bits=*/1, /*act_bits=*/31);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -652,6 +653,42 @@ TEST(InferenceService, SubmitValidatesShapesWithoutPoisoningTheQueue) {
   EXPECT_THROW(service.submit_batch(std::move(burst)), InvalidArgument);
   EXPECT_EQ(service.stats().queued + service.stats().requests, 0);
   // ...and the service keeps serving valid requests afterwards.
+  const InferenceResult r = service.submit(fx.data.test.sample(0)).get();
+  EXPECT_EQ(r.logits.numel(), 4);
+}
+
+TEST(InferenceService, SubmitRejectsNonFiniteInputs) {
+  DeployedFixture& fx = DeployedFixture::instance();
+  InferenceService service =
+      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
+          .serve();
+  auto expect_pinned = [](auto&& submit_call) {
+    try {
+      submit_call();
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(
+          std::string(e.what()).find(InferenceService::kErrNonFiniteInput),
+          std::string::npos)
+          << e.what();
+    }
+  };
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Tensor image = fx.data.test.sample(1);
+    image.at(image.numel() / 2) = bad;
+    // Single submit...
+    expect_pinned([&] { service.submit(image); });
+    // ...and a burst whose LAST image is bad: nothing of it is enqueued.
+    std::vector<Tensor> burst;
+    burst.push_back(fx.data.test.sample(0));
+    burst.push_back(fx.data.test.sample(2));
+    burst.push_back(image);
+    expect_pinned([&] { service.submit_batch(std::move(burst)); });
+    EXPECT_EQ(service.stats().queued + service.stats().requests, 0);
+  }
+  // The service keeps serving valid requests afterwards.
   const InferenceResult r = service.submit(fx.data.test.sample(0)).get();
   EXPECT_EQ(r.logits.numel(), 4);
 }
