@@ -456,6 +456,10 @@ struct GoldenEngineCase {
   bool clips;         ///< the ADC is narrow enough to clip
 };
 
+// Print a case by name: the default byte dump would put the name's address
+// into the ctest test name.
+void PrintTo(const GoldenEngineCase& c, std::ostream* os) { *os << c.name; }
+
 class EngineGolden : public ::testing::TestWithParam<GoldenEngineCase> {};
 
 TEST_P(EngineGolden, MatchesPerPositionEngineAtOneAndFourThreads) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -127,13 +128,20 @@ class SeedCrossbar {
   mutable std::int64_t clip_count_ = 0;
 };
 
+// gtest prints a case as a byte dump, and ctest puts that dump into the test
+// name. The name is held inline and the struct has no padding, so every byte
+// is a case value and the test names are the same in every build.
 struct GoldenCase {
-  const char* name;
-  std::int64_t rows, cols;
+  char name[20];
+  std::int32_t rows, cols;
   int weight_bits, act_bits, adc_bits;
   NonIdealityConfig non_ideal;
   double enable_prob;  ///< fraction of word lines enabled
 };
+static_assert(sizeof(GoldenCase) == 20 + 2 * 4 + 3 * 4 +
+                                        sizeof(NonIdealityConfig) +
+                                        sizeof(double),
+              "GoldenCase must have no padding");
 
 class KernelGolden : public ::testing::TestWithParam<GoldenCase> {};
 
@@ -255,6 +263,10 @@ struct RowsCase {
   double enable_prob;
   int code_bits;  ///< width of the drawn codes (> act_bits: out of contract)
 };
+
+// Print a case by name: the default byte dump would put the name's address
+// into the ctest test name.
+void PrintTo(const RowsCase& c, std::ostream* os) { *os << c.name; }
 
 class KernelRows : public ::testing::TestWithParam<RowsCase> {};
 

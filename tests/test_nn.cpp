@@ -221,8 +221,10 @@ TEST(ModelZoo, MacsOrdering) {
   EXPECT_GT(vgg16().total_macs(), resnet50().total_macs());
 }
 
+// Both fields are 64-bit so the struct has no padding: gtest's byte dump of
+// a case (which ctest puts into the test name) is the same in every build.
 struct ResNetCase {
-  int depth;
+  std::int64_t depth;
   std::int64_t convs;
 };
 
