@@ -412,11 +412,11 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   w.i32(c.serve.max_batch);
   w.f64(c.serve.flush_deadline_ms);
   w.i32(c.serve.workers);
-  w.i32(c.serve.latency_window);
+  // latency_window dropped by schema v5 (the stats digest is the interval
+  // histogram) -- the codec is positional, so a v4 payload cannot be
+  // decoded and is rejected by the version check.
   w.i32(c.serve.max_queue);
-  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core);
-  // kSchemaVersion bumped 3 -> 4 with them -- the codec is positional, so
-  // a v3 payload cannot be decoded and is rejected by the version check.
+  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core).
   w.i32(c.serve.max_workers);
   w.i32(c.serve.fairness_quantum);
   w.boolean(c.serve.reslice_bursts);
@@ -457,7 +457,6 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.serve.max_batch = r.i32();
   c.serve.flush_deadline_ms = r.f64();
   c.serve.workers = r.i32();
-  c.serve.latency_window = r.i32();
   c.serve.max_queue = r.i32();
   // Schema v4 scheduler knobs (see the writer's matching comment).
   c.serve.max_workers = r.i32();

@@ -52,8 +52,9 @@ namespace artifact {
 /// History: v1 = PR 3; v2 = ServeConfig gained latency_window/max_queue;
 /// v3 = ServeConfig gained workers (continuous-batching worker count);
 /// v4 = ServeConfig gained max_workers/fairness_quantum/reslice_bursts
-/// (SLA-aware scheduling core).
-inline constexpr std::uint32_t kSchemaVersion = 4;
+/// (SLA-aware scheduling core); v5 = ServeConfig lost latency_window (the
+/// stats digest is the interval latency histogram).
+inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {

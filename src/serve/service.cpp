@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "common/check.hpp"
@@ -22,6 +23,8 @@ using Clock = std::chrono::steady_clock;
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
+
+Clock::rep ticks(Clock::time_point t) { return t.time_since_epoch().count(); }
 
 /// The error a shed request's future carries. The prefix is pinned
 /// (kErrDeadlineExceeded); the suffix reports how long the request actually
@@ -56,7 +59,7 @@ InferenceService::InferenceService(DeployedModel model, ServeConfig config,
   pool_cap_ = config_.max_workers > 0 ? config_.max_workers : config_.workers;
   // Resolve every series before any worker exists: the lookups take the
   // telemetry registration mutex (a leaf), and doing it here keeps that
-  // mutex off every path that holds mu_/stats_mu_.
+  // mutex off every path that holds mu_.
   telemetry::metrics::ensure_registered();
   {
     telemetry::Registry& reg = telemetry::Registry::process();
@@ -229,8 +232,8 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       }
       if (sched_.size() + images.size() > bound) {
         m_rejected_->inc(static_cast<std::int64_t>(images.size()));
-        MutexLock stats_lock(stats_mu_);
-        rejected_ += static_cast<std::int64_t>(images.size());
+        rejected_.fetch_add(static_cast<std::int64_t>(images.size()),
+                            std::memory_order_relaxed);
         throw Unavailable(std::string(kErrQueueFull) + ": " +
                           std::to_string(sched_.size()) + " queued + " +
                           std::to_string(images.size()) + " submitted > " +
@@ -238,15 +241,14 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       }
     }
     // Record the throughput-window start *before* the requests become
-    // visible to the workers: once any of them is counted in completed_,
-    // the window start is guaranteed set. (Lock order mu_ -> stats_mu_ is
-    // used nowhere in reverse.)
-    {
-      MutexLock stats_lock(stats_mu_);
-      if (!saw_first_submit_) {
-        saw_first_submit_ = true;
-        first_submit_ = now;
-      }
+    // visible to the workers: a worker dequeues them under mu_ and publishes
+    // completed_ with release, so once any of them is counted the window
+    // start is visible too. Only the interval's first submit replaces the
+    // provisional (non-positive) start.
+    Clock::rep start = first_submit_.load(std::memory_order_relaxed);
+    while (start <= 0 &&
+           !first_submit_.compare_exchange_weak(start, ticks(now),
+                                                std::memory_order_relaxed)) {
     }
     Clock::time_point deadline = Clock::time_point::max();
     if (options.deadline_ms > 0.0) {
@@ -403,10 +405,10 @@ void InferenceService::worker_loop(std::size_t worker) {
     } catch (...) {
       // run_batch already routes forward-pass failures to the batch's
       // futures; this guard is for everything it could not anticipate
-      // (bad_alloc in the stats fold, an armed serve.schedule fault, a
-      // throwing fault point outside the forward try). A worker thread
-      // must never die: fail whatever futures are still unfulfilled and
-      // keep draining.
+      // (bad_alloc while building the results, an armed serve.schedule
+      // fault, a throwing fault point outside the forward try). A worker
+      // thread must never die: fail whatever futures are still unfulfilled
+      // and keep draining.
       const std::exception_ptr error = std::current_exception();
       for (SchedRequest& r : batch) {
         try {
@@ -434,14 +436,10 @@ std::size_t InferenceService::shed_expired_locked(Clock::time_point now) {
   }
   m_deadline_misses_->inc(static_cast<std::int64_t>(expired.size()));
   // Count BEFORE failing the futures: a caller that observes a future's
-  // DeadlineExceeded and then reads stats() must see the miss counted.
-  {
-    MutexLock stats_lock(stats_mu_);
-    deadline_misses_ += static_cast<std::int64_t>(expired.size());
-    for (int p = 0; p < kNumPriorities; ++p) {
-      deadline_misses_by_priority_[static_cast<std::size_t>(p)] +=
-          shed_by_prio[static_cast<std::size_t>(p)];
-    }
+  // DeadlineExceeded and then reads stats() must see the miss counted (the
+  // promise hand-off orders these relaxed adds before the caller's read).
+  for (std::size_t p = 0; p < shed_by_prio.size(); ++p) {
+    deadline_misses_[p].fetch_add(shed_by_prio[p], std::memory_order_relaxed);
   }
   for (SchedRequest& r : expired) {
     r.promise.set_exception(deadline_error(r.enqueued, now));
@@ -484,8 +482,6 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
   const auto done = Clock::now();
   std::vector<InferenceResult> results(batch.size());
   std::int64_t batch_clips = 0;
-  std::vector<double> batch_latencies;
-  batch_latencies.reserve(batch.size());
   std::array<std::int64_t, kNumPriorities> done_by_prio{};
   for (std::size_t i = 0; i < batch.size(); ++i) {
     InferenceResult& result = results[i];
@@ -497,7 +493,6 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
       }
     }
     batch_clips += clips[i];
-    batch_latencies.push_back(ms_between(batch[i].enqueued, done));
     ++done_by_prio[prio_index(batch[i].priority)];
   }
 
@@ -508,9 +503,10 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
   m_requests_->inc(static_cast<std::int64_t>(batch.size()));
   m_batches_->inc(1);
   m_clip_events_->inc(batch_clips);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    m_latency_[prio_index(batch[i].priority)]->observe(batch_latencies[i]);
-    interval_latency_.observe(batch_latencies[i]);
+  for (const SchedRequest& r : batch) {
+    const double latency_ms = ms_between(r.enqueued, done);
+    m_latency_[prio_index(r.priority)]->observe(latency_ms);
+    interval_latency_.observe(latency_ms);
   }
   if (traced) {
     telemetry::SpanRecord span;
@@ -528,27 +524,20 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
   }
 
   // Record stats before fulfilling any promise, so a stats() snapshot taken
-  // right after a future resolves already counts that request.
-  {
-    MutexLock lock(stats_mu_);
-    completed_ += static_cast<std::int64_t>(batch.size());
-    batches_ += 1;
-    clip_events_ += batch_clips;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      completed_by_priority_[static_cast<std::size_t>(p)] +=
-          done_by_prio[static_cast<std::size_t>(p)];
-    }
-    // Concurrent batches can reach this lock out of completion order; the
-    // throughput window must end at the LATEST completion seen.
-    if (done > last_done_) last_done_ = done;
-    const auto window = static_cast<std::size_t>(config_.latency_window);
-    for (const double latency : batch_latencies) {
-      if (latencies_ms_.size() < window) {
-        latencies_ms_.push_back(latency);
-      } else {
-        latencies_ms_[latency_next_] = latency;
-        latency_next_ = (latency_next_ + 1) % window;
-      }
+  // right after a future resolves already counts that request. Everything
+  // else lands before the release adds to completed_ that publish it.
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  clip_events_.fetch_add(batch_clips, std::memory_order_relaxed);
+  // Concurrent batches finish out of order; the throughput window must end
+  // at the LATEST completion seen.
+  Clock::rep last = last_done_.load(std::memory_order_relaxed);
+  while (last < ticks(done) &&
+         !last_done_.compare_exchange_weak(last, ticks(done),
+                                           std::memory_order_relaxed)) {
+  }
+  for (std::size_t p = 0; p < done_by_prio.size(); ++p) {
+    if (done_by_prio[p] > 0) {
+      completed_[p].fetch_add(done_by_prio[p], std::memory_order_release);
     }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -557,61 +546,58 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
 }
 
 void InferenceService::reset() {
-  // The interval histogram is per-instance, so resetting it here cannot
-  // disturb the shared (cumulative) scrape series.
+  // Every record here is per-instance, so resetting cannot disturb the
+  // shared (cumulative) scrape series. A batch completing concurrently may
+  // land in either interval, like a concurrent Histogram::observe.
   interval_latency_.reset();
-  MutexLock lock(stats_mu_);
-  latencies_ms_.clear();
-  latency_next_ = 0;
-  completed_ = 0;
-  batches_ = 0;
-  clip_events_ = 0;
-  rejected_ = 0;
-  deadline_misses_ = 0;
-  completed_by_priority_.fill(0);
-  deadline_misses_by_priority_.fill(0);
-  saw_first_submit_ = false;
+  for (std::size_t p = 0; p < completed_.size(); ++p) {
+    completed_[p].store(0, std::memory_order_relaxed);
+    deadline_misses_[p].store(0, std::memory_order_relaxed);
+  }
+  batches_.store(0, std::memory_order_relaxed);
+  clip_events_.store(0, std::memory_order_relaxed);
+  rejected_.store(0, std::memory_order_relaxed);
   // Re-anchor the throughput window at the reset itself: requests that
   // were in flight across the reset complete into the NEW interval, so
   // their rate must be measured from now -- not from the old interval's
-  // first submit. (The next submit re-anchors again via saw_first_submit_.)
-  first_submit_ = Clock::now();
-  last_done_ = first_submit_;
-}
-
-std::vector<double> InferenceService::recent_latencies_ms() const {
-  MutexLock lock(stats_mu_);
-  // Unroll the ring chronologically: once saturated, latency_next_ is the
-  // oldest slot; while filling it stays 0, so this is a plain copy then.
-  const std::size_t n = latencies_ms_.size();
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(latencies_ms_[(latency_next_ + i) % n]);
-  }
-  return out;
+  // first submit. The start stays provisional (negated) so the next submit
+  // re-anchors again.
+  const Clock::rep now = ticks(Clock::now());
+  first_submit_.store(-now, std::memory_order_relaxed);
+  last_done_.store(now, std::memory_order_relaxed);
 }
 
 ServiceStats InferenceService::stats() const {
   ServiceStats s;
   s.workers = config_.workers;
   s.max_workers = pool_cap_;
-  {
-    MutexLock lock(stats_mu_);
-    s.requests = completed_;
-    s.batches = batches_;
-    s.clip_events = clip_events_;
-    s.rejected = rejected_;
-    s.deadline_misses = deadline_misses_;
-    s.completed_by_priority = completed_by_priority_;
-    s.deadline_misses_by_priority = deadline_misses_by_priority_;
-    if (completed_ > 0) {
-      s.mean_batch_size = static_cast<double>(completed_) /
-                          static_cast<double>(batches_);
-      const double wall_s =
-          std::chrono::duration<double>(last_done_ - first_submit_).count();
-      s.items_per_sec = serve_detail::items_rate(completed_, wall_s);
-    }
+  // completed_ first, with acquire: every batch it counts has its batches_,
+  // clip and window updates visible to the loads after it, so requests <=
+  // max_batch * batches.
+  for (std::size_t p = 0; p < completed_.size(); ++p) {
+    s.completed_by_priority[p] = completed_[p].load(std::memory_order_acquire);
+    s.deadline_misses_by_priority[p] =
+        deadline_misses_[p].load(std::memory_order_relaxed);
+    s.requests += s.completed_by_priority[p];
+    s.deadline_misses += s.deadline_misses_by_priority[p];
+  }
+  // A batch is counted just before its requests are published, so the
+  // load can also see batches whose requests this snapshot missed. Those
+  // wait for a later snapshot: a counted batch has a counted request.
+  s.batches = std::min(batches_.load(std::memory_order_relaxed), s.requests);
+  s.clip_events = clip_events_.load(std::memory_order_relaxed);
+  s.rejected = rejected_.load(std::memory_order_relaxed);
+  if (s.batches > 0) {
+    s.mean_batch_size =
+        static_cast<double>(s.requests) / static_cast<double>(s.batches);
+  }
+  if (s.requests > 0) {
+    // A provisional window start is stored negated (see first_submit_).
+    const Clock::duration wall(
+        last_done_.load(std::memory_order_relaxed) -
+        std::abs(first_submit_.load(std::memory_order_relaxed)));
+    s.items_per_sec = serve_detail::items_rate(
+        s.requests, std::chrono::duration<double>(wall).count());
   }
   {
     MutexLock lock(mu_);
@@ -628,9 +614,8 @@ ServiceStats InferenceService::stats() const {
     s.live_workers = live_workers_;
   }
   // Percentiles come from the whole-interval histogram digest (every
-  // completion since the last reset()), not the bounded recent-latency
-  // ring: a burst larger than the ring can no longer evict the samples a
-  // p99 is supposed to be made of. Resolution is the bucket upper bound.
+  // completion since the last reset()). Resolution is the bucket upper
+  // bound.
   s.p50_latency_ms = interval_latency_.quantile(0.50);
   s.p99_latency_ms = interval_latency_.quantile(0.99);
   return s;

@@ -55,6 +55,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -86,7 +87,10 @@ inline double items_rate(std::int64_t completed, double wall_seconds) {
 
 }  // namespace serve_detail
 
-/// Monotonic counters + latency digest, snapshotted under the stats lock.
+/// Monotonic counters + latency digest of one measurement interval, read
+/// from lock-free per-instance counters. Even in a snapshot taken while
+/// batches complete, `requests` and `deadline_misses` equal the sums of
+/// their per-class splits and batches <= requests <= max_batch * batches.
 struct ServiceStats {
   std::int64_t requests = 0;       ///< completed requests
   std::int64_t batches = 0;        ///< flushes executed
@@ -101,8 +105,7 @@ struct ServiceStats {
   /// telemetry PR these come from the service's log-bucket latency
   /// histogram over the WHOLE interval (reset() starts a new one), so the
   /// digest covers every completed request at O(1) memory -- reported at
-  /// bucket-upper-bound resolution (power-of-two buckets). The exact
-  /// recent-window samples remain available via recent_latencies_ms().
+  /// bucket-upper-bound resolution (power-of-two buckets).
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   /// ADC clip events summed over all completed requests.
@@ -203,22 +206,26 @@ class InferenceService {
   std::vector<std::future<InferenceResult>> submit_batch(
       std::vector<Tensor> images, const SubmitOptions& options);
 
-  /// Consistent snapshot of the counters.
+  /// Snapshot of the counters (see ServiceStats for what holds while
+  /// batches complete concurrently). Lock-free except for the queue gauges,
+  /// which are read under the queue lock.
   ServiceStats stats() const;
 
-  /// Zero every stats counter and clear the latency window, starting a new
-  /// measurement interval (a registry snapshots per-interval fleet stats
-  /// this way). Queued and in-flight requests are untouched: they complete
-  /// normally and count toward the NEW interval; the throughput window
-  /// restarts at the next submit after the reset.
+  /// Zero every stats counter and the interval latency histogram, starting
+  /// a new measurement interval (a registry snapshots per-interval fleet
+  /// stats this way). Queued and in-flight requests are untouched: they
+  /// complete normally and count toward the NEW interval; the throughput
+  /// window restarts at the next submit after the reset. A stats() snapshot
+  /// racing reset() may mix counts of the two intervals.
   void reset();
 
-  /// Copy of the recent-latency ring in CHRONOLOGICAL order (oldest first,
-  /// at most ServeConfig::latency_window entries). Lets a fleet aggregator
-  /// compute percentiles over the POOLED windows of many services -- which
-  /// cannot be derived from the per-service p50/p99 -- and doubles as a
-  /// time series for trend-style callers.
-  std::vector<double> recent_latencies_ms() const;
+  /// The interval latency histogram behind ServiceStats::p50/p99 (every
+  /// completion since the last reset()). A fleet aggregator merges these
+  /// bucket-wise (telemetry::Histogram::merge) for percentiles over many
+  /// services -- which cannot be derived from the per-service p50/p99.
+  const telemetry::Histogram& interval_latency() const {
+    return interval_latency_;
+  }
 
   /// Drain every pending request, stop and join all workers, and return
   /// the deployed model -- the inverse of construction. The registry uses
@@ -257,14 +264,14 @@ class InferenceService {
       "submitted image holds a non-finite value (NaN or Inf)";
 
  private:
-  void worker_loop(std::size_t worker) EPIM_EXCLUDES(mu_, stats_mu_);
+  void worker_loop(std::size_t worker) EPIM_EXCLUDES(mu_);
   /// Sweep the scheduler for requests whose deadline has passed: each is
   /// removed, its future fails with DeadlineExceeded and the miss is
   /// counted (per class). Fulfilling a promise under mu_ is safe --
   /// set_exception only stores the error and wakes waiters, it runs no
   /// user code. Returns the number shed.
   std::size_t shed_expired_locked(std::chrono::steady_clock::time_point now)
-      EPIM_REQUIRES(mu_) EPIM_EXCLUDES(stats_mu_);
+      EPIM_REQUIRES(mu_);
   /// Adaptive-pool growth: start (or recycle) ONE retired worker slot when
   /// the queue holds more than the idle workers could absorb in a single
   /// batch each (queued > idle * max_batch) and the pool is below its
@@ -275,17 +282,16 @@ class InferenceService {
   /// Workers currently executing a batch. EPIM_REQUIRES(mu_).
   int busy_workers_locked() const EPIM_REQUIRES(mu_);
   /// Runs with NO lock held (the closing worker unlocks around it): several
-  /// batches execute concurrently, and the stats lock is taken only for the
-  /// final counter fold. A throwing forward pass (or an armed
-  /// serve.run_batch fault point) fails the batch's futures and leaves the
-  /// worker serving; worker_loop adds a last-ditch guard so no exception
-  /// whatsoever can kill a worker thread. `worker` and `closed_at` (the
-  /// batch-close timestamp the closing worker already read) exist for the
-  /// trace-span layer, which records them only while telemetry tracing is
-  /// armed.
+  /// batches execute concurrently, and the counter fold is lock-free. A
+  /// throwing forward pass (or an armed serve.run_batch fault point) fails
+  /// the batch's futures and leaves the worker serving; worker_loop adds a
+  /// last-ditch guard so no exception whatsoever can kill a worker thread.
+  /// `worker` and `closed_at` (the batch-close timestamp the closing worker
+  /// already read) exist for the trace-span layer, which records them only
+  /// while telemetry tracing is armed.
   void run_batch(std::vector<SchedRequest>& batch, std::size_t worker,
                  std::chrono::steady_clock::time_point closed_at)
-      EPIM_EXCLUDES(mu_, stats_mu_);
+      EPIM_EXCLUDES(mu_);
 
   /// Exclusively owned by construction and (post-join) by detach(); workers
   /// read it concurrently through the const forward_batch path. Not
@@ -314,9 +320,30 @@ class InferenceService {
   /// Lock-free like every Histogram; reset() by the stats reset.
   telemetry::Histogram interval_latency_;
 
-  /// Queue lock; ACQUIRED_BEFORE documents (and lockdep enforces) the only
-  /// legal nesting with the stats lock: mu_ -> stats_mu_, never reverse.
-  mutable Mutex mu_ EPIM_ACQUIRED_BEFORE(stats_mu_){"InferenceService::mu_"};
+  // --- ServiceStats counters: per-instance relaxed atomics, the one record
+  // behind stats() (the shared series above cannot be: instances with one
+  // label share them, reset() never clears them, and they drop samples
+  // under telemetry::set_recording(false)). requests and deadline_misses
+  // are the sums of the per-class arrays, never stored. Ordering:
+  // run_batch adds to batches_ before it publishes completed_ with release,
+  // and stats() loads completed_ with acquire before batches_, so a reader
+  // never sees more requests than max_batch * batches. Every count is
+  // added before the promises it covers are fulfilled. ---
+  std::array<std::atomic<std::int64_t>, kNumPriorities> completed_{};
+  std::array<std::atomic<std::int64_t>, kNumPriorities> deadline_misses_{};
+  std::atomic<std::int64_t> batches_{0};
+  std::atomic<std::int64_t> clip_events_{0};
+  std::atomic<std::int64_t> rejected_{0};
+  /// Throughput window, in steady_clock ticks. first_submit_ <= 0 is a
+  /// provisional start (0 at construction, minus the reset() time after a
+  /// reset) that the interval's first submit replaces once; last_done_ is
+  /// the latest completion (a CAS max: concurrent batches finish out of
+  /// order).
+  std::atomic<std::chrono::steady_clock::rep> first_submit_{0};
+  std::atomic<std::chrono::steady_clock::rep> last_done_{0};
+
+  /// Queue lock: the service's only mutex.
+  mutable Mutex mu_{"InferenceService::mu_"};
   CondVar cv_;
   /// The SLA-aware dispatch core. A plain data structure guarded by mu_ --
   /// NOT a lock of its own -- so the fleet lock order gains no new node
@@ -336,27 +363,6 @@ class InferenceService {
   /// joins the exited thread and relaunches the slot. Sized pool_cap_.
   std::vector<char> worker_live_ EPIM_GUARDED_BY(mu_);
   int live_workers_ EPIM_GUARDED_BY(mu_) = 0;
-
-  mutable Mutex stats_mu_{"InferenceService::stats_mu_"};
-  /// Ring buffer of the last ServeConfig::latency_window request latencies.
-  std::vector<double> latencies_ms_ EPIM_GUARDED_BY(stats_mu_);
-  /// Ring write position once saturated.
-  std::size_t latency_next_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t completed_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t batches_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t clip_events_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t rejected_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t deadline_misses_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  /// Per-class splits of completed_/deadline_misses_ (the scalars stay the
-  /// sums, so existing consumers are untouched).
-  std::array<std::int64_t, kNumPriorities> completed_by_priority_
-      EPIM_GUARDED_BY(stats_mu_){};
-  std::array<std::int64_t, kNumPriorities> deadline_misses_by_priority_
-      EPIM_GUARDED_BY(stats_mu_){};
-  bool saw_first_submit_ EPIM_GUARDED_BY(stats_mu_) = false;
-  std::chrono::steady_clock::time_point first_submit_
-      EPIM_GUARDED_BY(stats_mu_);
-  std::chrono::steady_clock::time_point last_done_ EPIM_GUARDED_BY(stats_mu_);
 
   /// Worker threads by slot, sized pool_cap_ (retired slots hold joined or
   /// default-constructed threads). Last member: joins before teardown.

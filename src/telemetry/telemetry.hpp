@@ -185,8 +185,15 @@ class Histogram {
   /// Zero every bucket and the sum (see the class comment for the race
   /// contract).
   void reset();
+  /// Add `other`'s buckets and sum into this histogram, bucket-wise -- a
+  /// digest over the union of both sample sets. Both must have the same
+  /// bucket layout (InvalidArgument otherwise). Counts even with recording
+  /// off: merging aggregates samples already recorded, it records none.
+  void merge(const Histogram& other);
 
  private:
+  void add_to_sum(double value);
+
   std::vector<double> bounds_;  ///< immutable after construction
   /// bounds_.size() finite buckets + 1 overflow slot.
   std::unique_ptr<std::atomic<std::int64_t>[]> counts_;

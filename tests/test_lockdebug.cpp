@@ -314,16 +314,26 @@ TEST_F(LockDebugTest, RegistryMutexHasNoOutgoingEdges) {
     }
     registry.stats();  // the scrape reads service stats outside mu_ too
   }
+  // Positive control: the graph is live (an edge this test creates).
+  {
+    Mutex outer{"LockDebugTest::outer"};
+    Mutex inner{"LockDebugTest::inner"};
+    MutexLock hold_outer(outer);
+    MutexLock hold_inner(inner);
+  }
 
   // The PR 8 no-edge invariant, established by real traffic: the registry
   // mutex guards only map lookups and state transitions, so the whole
   // materialize/submit/evict/scrape path acquires NOTHING under it. The
-  // only fleet-wide edge left is the service's own mu_ -> stats_mu_.
+  // service's mu_ is its only mutex, and nothing is acquired under it
+  // either.
+  EXPECT_TRUE(reg.has_edge("LockDebugTest::outer", "LockDebugTest::inner"));
   EXPECT_FALSE(reg.has_edge("ModelRegistry::mu_", "InferenceService::mu_"));
+  EXPECT_FALSE(reg.has_edge("InferenceService::mu_", "ModelRegistry::mu_"));
   EXPECT_FALSE(
-      reg.has_edge("ModelRegistry::mu_", "InferenceService::stats_mu_"));
-  EXPECT_TRUE(
-      reg.has_edge("InferenceService::mu_", "InferenceService::stats_mu_"));
+      reg.has_edge("InferenceService::mu_", "telemetry::Registry::mu_"));
+  EXPECT_FALSE(
+      reg.has_edge("InferenceService::mu_", "fault::FaultRegistry::mu_"));
   // And no inversion anywhere in the materialize/submit/evict/teardown path.
   EXPECT_TRUE(reports().empty()) << reports().front();
 }

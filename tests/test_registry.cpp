@@ -15,6 +15,8 @@
 
 #include <fstream>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -28,8 +30,10 @@
 namespace epim {
 namespace {
 
+/// ctest runs each test of a binary as its own process, several at once,
+/// so a scratch file name carries the process id.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
 }
 
 /// Restore the 1-thread default after a test that resizes the pool.
@@ -507,6 +511,29 @@ TEST(ModelRegistry, SnapshotAggregatesAndResetStartsNewInterval) {
   // The next interval counts from zero.
   (void)registry.submit("a", "v1", fx.data.test.sample(0)).get();
   EXPECT_EQ(registry.stats().requests, 1);
+}
+
+// Fleet percentiles merge the resident services' interval histograms
+// bucket-wise, so with one resident model they are exactly that service's
+// own p50/p99.
+TEST(ModelRegistry, FleetPercentilesOfOneModelEqualItsServiceStats) {
+  ZooFixture& fx = ZooFixture::instance();
+  ModelRegistry registry;
+  registry.register_model("a", "v1", fx.deploy(0));
+  std::vector<std::future<InferenceResult>> pending;
+  for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
+    pending.push_back(registry.submit("a", "v1", fx.data.test.sample(i)));
+  }
+  for (auto& f : pending) (void)f.get();
+
+  const RegistrySnapshot snapshot = registry.stats();
+  ASSERT_EQ(snapshot.resident, 1);
+  ASSERT_EQ(snapshot.models.size(), 1u);
+  const ServiceStats& service = snapshot.models[0].stats;
+  EXPECT_EQ(service.requests, fx.data.test.size());
+  EXPECT_GT(service.p50_latency_ms, 0.0);
+  EXPECT_EQ(snapshot.p50_latency_ms, service.p50_latency_ms);
+  EXPECT_EQ(snapshot.p99_latency_ms, service.p99_latency_ms);
 }
 
 // ---- artifact rot between registration and first materialization ----

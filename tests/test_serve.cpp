@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "common/fault_inject.hpp"
 #include "common/parallel.hpp"
@@ -25,13 +28,16 @@
 #include "pipeline/pipeline.hpp"
 #include "serve/artifact.hpp"
 #include "serve/service.hpp"
+#include "telemetry/telemetry.hpp"
 #include "train/trainer.hpp"
 
 namespace epim {
 namespace {
 
+/// ctest runs each test of a binary as its own process, several at once,
+/// so a scratch file name carries the process id.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
 }
 
 /// Restore the 1-thread default after a test that resizes the pool.
@@ -151,7 +157,6 @@ PipelineConfig random_config(Rng& rng) {
   cfg.serve.max_batch = rng.uniform_int(1, 64);
   cfg.serve.flush_deadline_ms = rng.uniform(0.5, 5.0);
   cfg.serve.workers = rng.uniform_int(1, 8);
-  cfg.serve.latency_window = rng.uniform_int(1, 8192);
   cfg.serve.max_queue = rng.flip() ? 0 : rng.uniform_int(1, 2048);
   cfg.serve.max_workers =
       rng.flip() ? 0 : rng.uniform_int(cfg.serve.workers, 16);
@@ -187,8 +192,6 @@ TEST(ArtifactCompiled, PropertyRandomConfigsRoundTripByteIdentically) {
     EXPECT_EQ(loaded.config().serve.flush_deadline_ms,
               cfg.serve.flush_deadline_ms);
     EXPECT_EQ(loaded.config().serve.workers, cfg.serve.workers);
-    EXPECT_EQ(loaded.config().serve.latency_window,
-              cfg.serve.latency_window);
     EXPECT_EQ(loaded.config().serve.max_queue, cfg.serve.max_queue);
     EXPECT_EQ(loaded.config().serve.max_workers, cfg.serve.max_workers);
     EXPECT_EQ(loaded.config().serve.fairness_quantum,
@@ -368,9 +371,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   // Superseded versions are rejected cleanly too: the positional codec
-  // cannot decode a v1/v2/v3 payload (ServeConfig grew in v2, v3 and again
-  // in v4), so they must fail with the version message, never a misparse
-  // deeper in.
+  // cannot decode a v1..v4 payload (ServeConfig grew in v2, v3 and v4 and
+  // shrank in v5), so they must fail with the version message, never a
+  // misparse deeper in.
   bytes[8] = 1;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
@@ -378,6 +381,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   bytes[8] = 3;
+  dump(bad, bytes);
+  expect_load_error(bad, artifact::kErrBadVersion);
+  bytes[8] = 4;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
 }
@@ -747,6 +753,140 @@ TEST(InferenceService, StatsSnapshotIsConsistent) {
   EXPECT_EQ(stats.queued, 0);
 }
 
+// The counters behind stats() are lock-free, so a reader races the workers'
+// folds. Every snapshot must still hold together: the totals equal their
+// per-class splits and the batch count fits the request count.
+TEST(InferenceService, ConcurrentStatsReaderSeesConsistentSnapshots) {
+  DeployedFixture& fx = DeployedFixture::instance();
+  constexpr int kMaxBatch = 4;
+  ServeConfig scfg;
+  scfg.max_batch = kMaxBatch;
+  scfg.flush_deadline_ms = 0.5;
+  scfg.workers = 4;
+  InferenceService service =
+      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
+          .serve(scfg);
+
+  std::atomic<bool> done{false};
+  std::int64_t snapshots = 0;
+  std::string violation;  // the first one; written by the reader only
+  const auto check = [](const ServiceStats& s) -> std::string {
+    std::int64_t completed = 0;
+    std::int64_t misses = 0;
+    for (int p = 0; p < kNumPriorities; ++p) {
+      completed += s.completed_by_priority[static_cast<std::size_t>(p)];
+      misses += s.deadline_misses_by_priority[static_cast<std::size_t>(p)];
+    }
+    const bool ok =
+        s.requests == completed && s.deadline_misses == misses &&
+        s.batches <= s.requests &&
+        (s.mean_batch_size == 0.0 ||
+         (s.mean_batch_size >= 1.0 && s.mean_batch_size <= kMaxBatch));
+    if (ok) return "";
+    return "requests " + std::to_string(s.requests) + " (classes " +
+           std::to_string(completed) + "), deadline_misses " +
+           std::to_string(s.deadline_misses) + " (classes " +
+           std::to_string(misses) + "), batches " +
+           std::to_string(s.batches) + ", mean_batch_size " +
+           std::to_string(s.mean_batch_size);
+  };
+  std::thread reader([&] {
+    while (!done.load()) {
+      const std::string bad = check(service.stats());
+      if (violation.empty()) violation = bad;
+      ++snapshots;
+    }
+  });
+
+  // One submitter per priority class, alternating singles and bursts so
+  // batches of every size close while the reader runs.
+  std::atomic<std::int64_t> submitted{0};
+  std::vector<std::thread> submitters;
+  for (int p = 0; p < kNumPriorities; ++p) {
+    submitters.emplace_back([&, p] {
+      SubmitOptions options;
+      options.priority = static_cast<Priority>(p);
+      std::vector<std::future<InferenceResult>> futures;
+      for (int round = 0; round < 12; ++round) {
+        std::vector<Tensor> burst;
+        for (int i = 0; i <= round % 3; ++i) {
+          burst.push_back(fx.data.test.sample((p + round + i) %
+                                              fx.data.test.size()));
+        }
+        submitted += static_cast<std::int64_t>(burst.size());
+        for (auto& f : service.submit_batch(std::move(burst), options)) {
+          futures.push_back(std::move(f));
+        }
+      }
+      for (auto& f : futures) (void)f.get();
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  done = true;
+  reader.join();
+
+  EXPECT_GT(snapshots, 0);
+  EXPECT_TRUE(violation.empty()) << violation;
+  const ServiceStats final_stats = service.stats();
+  EXPECT_EQ(check(final_stats), "");
+  EXPECT_EQ(final_stats.requests, submitted.load());
+}
+
+// ServiceStats counts every request whatever the telemetry recording
+// switch says: only the shared scrape series honour it.
+TEST(InferenceService, StatsCountsIgnoreTheRecordingSwitch) {
+  DeployedFixture& fx = DeployedFixture::instance();
+  DeployedModel reference = Pipeline{PipelineConfig{}}.deploy(fx.net,
+                                                              fx.data.train);
+  struct RecordingOff {
+    RecordingOff() { telemetry::set_recording(false); }
+    ~RecordingOff() { telemetry::set_recording(true); }
+  } recording_off;
+
+  // One request per batch: exact requests, batches and clip events.
+  ServeConfig one_by_one;
+  one_by_one.max_batch = 1;
+  one_by_one.flush_deadline_ms = 0.5;
+  InferenceService service =
+      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
+          .serve(one_by_one);
+  std::int64_t expected_clips = 0;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    (void)reference.forward(fx.data.test.sample(i));
+    expected_clips += reference.last_clip_count();
+    (void)service.submit(fx.data.test.sample(i)).get();
+  }
+  const ServiceStats served = service.stats();
+  EXPECT_EQ(served.requests, 6);
+  EXPECT_EQ(served.batches, 6);
+  EXPECT_EQ(served.clip_events, expected_clips);
+
+  // A held queue at its admission bound: one request is shed at its
+  // deadline, then a 2-burst is rejected.
+  ServeConfig held;
+  held.max_batch = 64;
+  held.flush_deadline_ms = 10000.0;
+  held.max_queue = 2;
+  InferenceService bounded =
+      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
+          .serve(held);
+  SubmitOptions short_deadline;
+  short_deadline.deadline_ms = 1.0;
+  auto dead = bounded.submit(fx.data.test.sample(0), short_deadline);
+  auto live = bounded.submit(fx.data.test.sample(1));
+  EXPECT_THROW((void)dead.get(), DeadlineExceeded);
+  std::vector<Tensor> burst{fx.data.test.sample(2), fx.data.test.sample(3)};
+  EXPECT_THROW((void)bounded.submit_batch(std::move(burst)), Unavailable);
+  (void)bounded.detach();  // flushes `live`
+  (void)live.get();
+
+  const ServiceStats shed = bounded.stats();
+  EXPECT_EQ(shed.requests, 1);
+  EXPECT_EQ(shed.batches, 1);
+  EXPECT_EQ(shed.rejected, 2);
+  EXPECT_EQ(shed.deadline_misses, 1);
+}
+
 TEST(InferenceService, DestructorDrainsPendingRequests) {
   DeployedFixture& fx = DeployedFixture::instance();
   std::vector<std::future<InferenceResult>> pending;
@@ -786,38 +926,6 @@ TEST(InferenceService, SubmitBatchRejectsEmptyBurst) {
   EXPECT_EQ(service.submit(fx.data.test.sample(0)).get().logits.numel(), 4);
 }
 
-TEST(InferenceService, LatencyWindowSizeComesFromServeConfig) {
-  DeployedFixture& fx = DeployedFixture::instance();
-  ServeConfig scfg;
-  scfg.max_batch = 1;  // one completion per request: window fills request-wise
-  scfg.flush_deadline_ms = 0.5;
-  scfg.latency_window = 4;
-  InferenceService service =
-      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
-          .serve(scfg);
-
-  for (std::int64_t i = 0; i < 3; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-  }
-  // Below the window: every latency is retained.
-  EXPECT_EQ(service.recent_latencies_ms().size(), 3u);
-  for (std::int64_t i = 3; i < 10; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-  }
-  // Saturated: the ring holds exactly latency_window entries, so the
-  // percentile digest covers the most recent 4 requests only.
-  EXPECT_EQ(service.recent_latencies_ms().size(), 4u);
-  EXPECT_EQ(service.stats().requests, 10);
-
-  // The window size is validated like every other serve knob.
-  ServeConfig bad;
-  bad.latency_window = 0;
-  EXPECT_THROW(InferenceService(
-                   Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train),
-                   bad),
-               InvalidArgument);
-}
-
 TEST(InferenceService, ResetStartsAFreshStatsInterval) {
   DeployedFixture& fx = DeployedFixture::instance();
   InferenceService service =
@@ -839,7 +947,6 @@ TEST(InferenceService, ResetStartsAFreshStatsInterval) {
   EXPECT_EQ(zeroed.items_per_sec, 0.0);
   EXPECT_EQ(zeroed.p50_latency_ms, 0.0);
   EXPECT_EQ(zeroed.p99_latency_ms, 0.0);
-  EXPECT_EQ(service.recent_latencies_ms().size(), 0u);
 
   // ...and the next interval counts from zero with a fresh throughput
   // window, exactly like a brand-new service.
@@ -979,41 +1086,6 @@ TEST(ServiceStats, ItemsRateFallsBackToOneTickOnZeroWall) {
           .serve();
   (void)service.submit(fx.data.test.sample(0)).get();
   EXPECT_GT(service.stats().items_per_sec, 0.0);
-}
-
-TEST(InferenceService, RecentLatenciesAreChronological) {
-  DeployedFixture& fx = DeployedFixture::instance();
-  ServeConfig scfg;
-  scfg.max_batch = 1;  // one completion per request
-  scfg.flush_deadline_ms = 0.5;
-  scfg.latency_window = 4;
-  InferenceService service =
-      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
-          .serve(scfg);
-
-  // Await each request before the next submit, snapshotting the window
-  // after every completion: chronological (oldest-first) order makes each
-  // unsaturated snapshot a prefix of the next, and each saturated snapshot
-  // the previous one shifted left by exactly one. Raw ring order would
-  // return the newest entry at the overwrite position instead.
-  std::vector<std::vector<double>> snaps;
-  for (std::int64_t i = 0; i < 7; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-    snaps.push_back(service.recent_latencies_ms());
-  }
-  for (std::size_t k = 0; k < snaps.size(); ++k) {
-    ASSERT_EQ(snaps[k].size(), std::min<std::size_t>(k + 1, 4)) << "k=" << k;
-  }
-  for (std::size_t k = 1; k < 4; ++k) {  // filling: append-only
-    for (std::size_t i = 0; i < snaps[k - 1].size(); ++i) {
-      EXPECT_EQ(snaps[k][i], snaps[k - 1][i]) << "k=" << k << " i=" << i;
-    }
-  }
-  for (std::size_t k = 4; k < snaps.size(); ++k) {  // saturated: slide by 1
-    for (std::size_t i = 0; i + 1 < 4; ++i) {
-      EXPECT_EQ(snaps[k][i], snaps[k - 1][i + 1]) << "k=" << k << " i=" << i;
-    }
-  }
 }
 
 TEST(InferenceService, DetachDrainsInFlightBatchesAcrossWorkers) {
