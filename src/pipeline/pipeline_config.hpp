@@ -136,24 +136,19 @@ struct ServeConfig {
   /// Workers only *initiate* compute -- the arithmetic itself fans out
   /// across the one process-wide `common/parallel` pool, so this knob buys
   /// overlap (batching latency hidden behind compute, multiple in-flight
-  /// batches), not extra compute threads.
+  /// batches), not extra compute threads. The pool is fixed: every worker
+  /// starts with the service and runs until it is detached or destroyed.
   int workers = 1;
   /// Admission bound: largest number of requests allowed to sit queued
   /// (not yet flushed into a batch). A submission that would exceed it is
   /// rejected with epim::Unavailable instead of growing the queue -- the
   /// backpressure a multi-model registry relies on. 0 = unbounded (the
   /// historical single-service behaviour). A reslice-eligible burst (see
-  /// reslice_bursts) is admitted against max_queue + max_workers*max_batch
+  /// reslice_bursts) is admitted against max_queue + workers*max_batch
   /// instead: its slices go straight to the worker pool rather than sitting
   /// queued, and the whole burst is counted ONCE at submit so concurrent
   /// slices can never double-reject.
   int max_queue = 0;
-  /// Adaptive-pool ceiling: the worker pool grows one thread at a time from
-  /// `workers` up to this bound while queued requests exceed what the idle
-  /// workers can absorb (queued > idle * max_batch), and shrinks back --
-  /// never below `workers` -- as extra workers sit idle. 0 (the default)
-  /// means max_workers == workers: a fixed pool, the historical behaviour.
-  int max_workers = 0;
   /// Scheduler fairness knob (must be positive), in requests. Doubles as
   /// the deficit-round-robin top-up per client per ring visit and as the
   /// anti-starvation bound: a non-empty priority class passed over this

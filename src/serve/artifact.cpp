@@ -416,8 +416,8 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   // histogram) -- the codec is positional, so a v4 payload cannot be
   // decoded and is rejected by the version check.
   w.i32(c.serve.max_queue);
-  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core).
-  w.i32(c.serve.max_workers);
+  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core);
+  // the adaptive-pool ceiling was dropped by schema v6 (fixed pool).
   w.i32(c.serve.fairness_quantum);
   w.boolean(c.serve.reslice_bursts);
   w.str(c.anchors.model);
@@ -459,7 +459,6 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.serve.workers = r.i32();
   c.serve.max_queue = r.i32();
   // Schema v4 scheduler knobs (see the writer's matching comment).
-  c.serve.max_workers = r.i32();
   c.serve.fairness_quantum = r.i32();
   c.serve.reslice_bursts = r.boolean();
   c.anchors.model = r.str();

@@ -51,10 +51,12 @@ namespace artifact {
 /// either -- they fail with a clean version error, never a misparse).
 /// History: v1 = PR 3; v2 = ServeConfig gained latency_window/max_queue;
 /// v3 = ServeConfig gained workers (continuous-batching worker count);
-/// v4 = ServeConfig gained max_workers/fairness_quantum/reslice_bursts
-/// (SLA-aware scheduling core); v5 = ServeConfig lost latency_window (the
-/// stats digest is the interval latency histogram).
-inline constexpr std::uint32_t kSchemaVersion = 5;
+/// v4 = ServeConfig gained an adaptive-pool ceiling, fairness_quantum and
+/// reslice_bursts (SLA-aware scheduling core); v5 = ServeConfig lost
+/// latency_window (the stats digest is the interval latency histogram);
+/// v6 = ServeConfig lost the adaptive-pool ceiling (every service runs a
+/// fixed pool of `workers` threads).
+inline constexpr std::uint32_t kSchemaVersion = 6;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {

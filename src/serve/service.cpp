@@ -36,11 +36,6 @@ std::exception_ptr deadline_error(Clock::time_point enqueued,
       std::to_string(ms_between(enqueued, now)) + " ms"));
 }
 
-/// How long a beyond-the-floor worker sits idle before retiring its slot
-/// (the adaptive pool's shrink hysteresis: growth is one slot per
-/// submission/batch-close event, shrink is one idle timeout per slot).
-constexpr std::chrono::milliseconds kPoolShrinkIdle{50};
-
 std::size_t prio_index(Priority priority) {
   return static_cast<std::size_t>(priority);
 }
@@ -56,7 +51,6 @@ InferenceService::InferenceService(DeployedModel model, ServeConfig config,
       config_((validate_serve(config), config)),
       telemetry_label_(telemetry_label.empty() ? "default" : telemetry_label),
       sched_(config.fairness_quantum) {
-  pool_cap_ = config_.max_workers > 0 ? config_.max_workers : config_.workers;
   // Resolve every series before any worker exists: the lookups take the
   // telemetry registration mutex (a leaf), and doing it here keeps that
   // mutex off every path that holds mu_.
@@ -82,22 +76,10 @@ InferenceService::InferenceService(DeployedModel model, ServeConfig config,
           reg.histogram("epim_serve_latency_ms", by_prio);
     }
   }
-  {
-    // No worker exists yet, but these are guarded fields and the analysis
-    // (correctly) has no "threads not started" concept; an uncontended
-    // lock documents the invariant at zero cost.
-    MutexLock lock(mu_);
-    worker_in_flight_.assign(static_cast<std::size_t>(pool_cap_), 0);
-    worker_live_.assign(static_cast<std::size_t>(pool_cap_), 0);
-    for (int w = 0; w < config_.workers; ++w) {
-      worker_live_[static_cast<std::size_t>(w)] = 1;
-    }
-    live_workers_ = config_.workers;
-  }
-  workers_.resize(static_cast<std::size_t>(pool_cap_));
-  for (int w = 0; w < config_.workers; ++w) {
-    workers_[static_cast<std::size_t>(w)] =
-        std::thread([this, w] { worker_loop(static_cast<std::size_t>(w)); });
+  workers_.reserve(static_cast<std::size_t>(config_.workers));
+  for (std::size_t w = 0; w < static_cast<std::size_t>(config_.workers);
+       ++w) {
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
@@ -121,8 +103,7 @@ DeployedModel InferenceService::detach() {
   // The workers' shutdown path flushes everything still queued (each keeps
   // closing batches until the queue is empty), and a worker mid-batch
   // finishes it before exiting, so every outstanding future resolves before
-  // the model changes hands. stop_ also makes maybe_grow_locked a no-op,
-  // so nothing mutates workers_ under this unlocked join.
+  // the model changes hands.
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -206,7 +187,7 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       // kErrBurstTooLarge.
       const std::size_t bound =
           static_cast<std::size_t>(config_.max_queue) +
-          (resliced ? static_cast<std::size_t>(pool_cap_) *
+          (resliced ? static_cast<std::size_t>(config_.workers) *
                           static_cast<std::size_t>(config_.max_batch)
                     : 0);
       // A burst larger than the whole bound can NEVER be admitted, however
@@ -217,7 +198,7 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
                  std::string(kErrBurstTooLarge) + ": " +
                      std::to_string(images.size()) + " submitted > " +
                      std::to_string(bound) +
-                     (resliced ? " (max_queue + max_workers*max_batch)"
+                     (resliced ? " (max_queue + workers*max_batch)"
                                : " (max_queue)"));
       // Admission control: all-or-nothing for the burst, decided atomically
       // with the enqueue so concurrent submitters can never overshoot the
@@ -270,38 +251,9 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
     // batch close and at every deadline shed. Relaxed atomic, so updating
     // it under mu_ keeps the mirror exact without any new lock edge.
     m_queue_depth_[prio]->add(static_cast<std::int64_t>(images.size()));
-    // Demand just arrived: give the adaptive pool its growth event.
-    maybe_grow_locked();
   }
   cv_.notify_all();
   return futures;
-}
-
-int InferenceService::busy_workers_locked() const {
-  int busy = 0;
-  for (const std::int64_t n : worker_in_flight_) busy += n > 0;
-  return busy;
-}
-
-void InferenceService::maybe_grow_locked() {
-  if (stop_ || live_workers_ >= pool_cap_) return;
-  const std::int64_t idle =
-      static_cast<std::int64_t>(live_workers_) - busy_workers_locked();
-  if (static_cast<std::int64_t>(sched_.size()) <=
-      idle * static_cast<std::int64_t>(config_.max_batch)) {
-    return;
-  }
-  for (std::size_t slot = 0; slot < worker_live_.size(); ++slot) {
-    if (worker_live_[slot]) continue;
-    // A retired slot's thread has cleared worker_live_ under mu_ and is
-    // past any further locking -- the join below waits only for its
-    // epilogue, never for mu_.
-    if (workers_[slot].joinable()) workers_[slot].join();
-    worker_live_[slot] = 1;
-    ++live_workers_;
-    workers_[slot] = std::thread([this, slot] { worker_loop(slot); });
-    return;  // one slot per event: growth hysteresis
-  }
 }
 
 void InferenceService::worker_loop(std::size_t worker) {
@@ -312,26 +264,9 @@ void InferenceService::worker_loop(std::size_t worker) {
   MutexLock lock(mu_);
   for (;;) {
     // Explicit wait loop, not the predicate form: stop_ and sched_ are
-    // guarded fields, and here the analysis can see mu_ is held. A worker
-    // beyond the configured floor retires its slot after sitting idle for
-    // the shrink hysteresis window; floor workers wait forever.
-    while (!stop_ && sched_.empty()) {
-      if (static_cast<int>(worker) >= config_.workers) {
-        if (cv_.wait_until(lock, Clock::now() + kPoolShrinkIdle) ==
-                std::cv_status::timeout &&
-            !stop_ && sched_.empty()) {
-          worker_live_[worker] = 0;
-          --live_workers_;
-          return;
-        }
-      } else {
-        cv_.wait(lock);
-      }
-    }
-    if (sched_.empty()) {
-      if (stop_) return;
-      continue;
-    }
+    // guarded fields, and here the analysis can see mu_ is held.
+    while (!stop_ && sched_.empty()) cv_.wait(lock);
+    if (sched_.empty()) return;  // stopped, and nothing left to drain
     // Continuous batching: hold for batch-mates until the oldest queued
     // request's flush deadline, a full batch, or shutdown (which flushes
     // immediately) -- but wake EARLY at the soonest request deadline, so an
@@ -369,8 +304,8 @@ void InferenceService::worker_loop(std::size_t worker) {
     std::size_t n = std::min<std::size_t>(
         sched_.size(), static_cast<std::size_t>(config_.max_batch));
     if (sched_.no_hold_count() > 0) {
-      const std::size_t idle = static_cast<std::size_t>(std::max(
-          1, live_workers_ - busy_workers_locked()));
+      const std::size_t idle = static_cast<std::size_t>(
+          std::max(1, config_.workers - busy_workers_));
       const std::size_t slice = (sched_.size() + idle - 1) / idle;
       n = std::min(n, std::max<std::size_t>(1, slice));
     }
@@ -385,11 +320,11 @@ void InferenceService::worker_loop(std::size_t worker) {
             closed_by_prio[static_cast<std::size_t>(p)]);
       }
     }
-    worker_in_flight_[worker] = static_cast<std::int64_t>(batch.size());
-    // This worker is about to go busy; if the remaining backlog still
-    // exceeds what the (now fewer) idle workers can absorb, grow the pool
-    // so the next slice closes concurrently.
-    maybe_grow_locked();
+    // This worker goes busy until it re-locks below; the counts feed the
+    // re-slice divisor and stats().
+    const auto closed = static_cast<std::int64_t>(batch.size());
+    ++busy_workers_;
+    in_flight_ += closed;
     // Run the batch with the queue unlocked: peers keep closing batches
     // (multiple in flight per model) and submitters keep enqueueing while
     // this one computes. forward_batch is const and pure against the
@@ -419,7 +354,8 @@ void InferenceService::worker_loop(std::size_t worker) {
       }
     }
     lock.lock();
-    worker_in_flight_[worker] = 0;
+    --busy_workers_;
+    in_flight_ -= closed;
   }
 }
 
@@ -570,7 +506,6 @@ void InferenceService::reset() {
 ServiceStats InferenceService::stats() const {
   ServiceStats s;
   s.workers = config_.workers;
-  s.max_workers = pool_cap_;
   // completed_ first, with acquire: every batch it counts has its batches_,
   // clip and window updates visible to the loads after it, so requests <=
   // max_batch * batches.
@@ -607,11 +542,8 @@ ServiceStats InferenceService::stats() const {
           static_cast<std::int64_t>(
               sched_.size(static_cast<Priority>(p)));
     }
-    for (const std::int64_t n : worker_in_flight_) {
-      s.in_flight += n;
-      s.busy_workers += n > 0;
-    }
-    s.live_workers = live_workers_;
+    s.in_flight = in_flight_;
+    s.busy_workers = busy_workers_;
   }
   // Percentiles come from the whole-interval histogram digest (every
   // completion since the last reset()). Resolution is the bucket upper

@@ -1,9 +1,10 @@
 // Throughput-oriented serving front-end over a DeployedModel.
 //
 // An InferenceService owns a programmed chip (a DeployedModel, typically
-// loaded from a `.epim` artifact) plus a pool of ServeConfig::workers batch
-// threads implementing continuous batching: submitted requests queue until
-// either `max_batch` of them are pending or the oldest has waited
+// loaded from a `.epim` artifact) plus a fixed pool of ServeConfig::workers
+// batch threads -- started in the constructor, joined by detach() or the
+// destructor -- implementing continuous batching: submitted requests queue
+// until either `max_batch` of them are pending or the oldest has waited
 // `flush_deadline_ms`; a free worker then closes that batch and runs it
 // (PimNetworkRuntime::forward_batch, fanning out across the shared compute
 // pool) while the remaining workers keep draining the queue. With
@@ -47,10 +48,9 @@
 // reservation so bulk traffic is delayed at most ServeConfig::
 // fairness_quantum batch closes. A submit_batch burst larger than
 // max_batch is re-sliced across idle workers (ServeConfig::reslice_bursts)
-// instead of draining serially, and the worker pool grows/shrinks within
-// [workers, max_workers] from queue depth and busy workers. None of this
-// can change results -- only completion order (the PR 5 bit-identity
-// contract, re-pinned across the priorities x clients x workers grid).
+// instead of draining serially. None of this can change results -- only
+// completion order (the PR 5 bit-identity contract, re-pinned across the
+// priorities x clients x workers grid).
 #pragma once
 
 #include <algorithm>
@@ -125,17 +125,10 @@ struct ServiceStats {
   /// Requests closed into a batch that is still executing, summed over all
   /// workers.
   std::int64_t in_flight = 0;
-  /// Batch workers this service was configured with (ServeConfig::workers;
-  /// the adaptive pool's floor).
+  /// Batch workers this service runs (ServeConfig::workers; fixed).
   int workers = 0;
-  /// Workers currently executing a batch (<= live_workers).
+  /// Workers currently executing a batch (<= workers).
   int busy_workers = 0;
-  /// Workers currently alive in the adaptive pool, in [workers,
-  /// max_workers]. Equals `workers` for a fixed pool.
-  int live_workers = 0;
-  /// Adaptive-pool ceiling (resolved: equals `workers` when
-  /// ServeConfig::max_workers is 0).
-  int max_workers = 0;
   /// Per-priority-class splits of `queued`, `requests` and
   /// `deadline_misses`, indexed by static_cast<int>(Priority). The scalar
   /// fields above remain the class sums.
@@ -195,7 +188,7 @@ class InferenceService {
   /// Unavailable and not counted in ServiceStats::rejected). The bound is
   /// max_queue, except for a reslice-eligible burst (reslice_bursts on and
   /// the burst larger than max_batch), which is admitted against max_queue
-  /// + max_workers*max_batch: its slices go to the pool concurrently
+  /// + workers*max_batch: its slices go to the pool concurrently
   /// instead of sitting queued. Admission control applies to the whole
   /// burst, decided ONCE under the queue lock at submit: either every
   /// image is admitted or none is, and concurrent slices of an admitted
@@ -248,7 +241,7 @@ class InferenceService {
       "service queue is full (admission control)";
   /// Never-admissible-burst message prefix (pinned by tests): the burst is
   /// larger than its admission bound (max_queue, or max_queue +
-  /// max_workers*max_batch for a reslice-eligible burst), so retrying can
+  /// workers*max_batch for a reslice-eligible burst), so retrying can
   /// never succeed.
   static constexpr const char* kErrBurstTooLarge =
       "burst exceeds the admission bound and can never be admitted";
@@ -272,15 +265,6 @@ class InferenceService {
   /// user code. Returns the number shed.
   std::size_t shed_expired_locked(std::chrono::steady_clock::time_point now)
       EPIM_REQUIRES(mu_);
-  /// Adaptive-pool growth: start (or recycle) ONE retired worker slot when
-  /// the queue holds more than the idle workers could absorb in a single
-  /// batch each (queued > idle * max_batch) and the pool is below its
-  /// ceiling. One slot per call is the growth hysteresis -- a burst grows
-  /// the pool over several submissions/batch closes, not in one spike.
-  /// No-op once stop_ is set, so teardown can join workers_ unlocked.
-  void maybe_grow_locked() EPIM_REQUIRES(mu_);
-  /// Workers currently executing a batch. EPIM_REQUIRES(mu_).
-  int busy_workers_locked() const EPIM_REQUIRES(mu_);
   /// Runs with NO lock held (the closing worker unlocks around it): several
   /// batches execute concurrently, and the counter fold is lock-free. A
   /// throwing forward pass (or an armed serve.run_batch fault point) fails
@@ -352,24 +336,15 @@ class InferenceService {
   /// traffic).
   Scheduler sched_ EPIM_GUARDED_BY(mu_);
   bool stop_ EPIM_GUARDED_BY(mu_) = false;
-  /// Adaptive-pool ceiling, resolved at construction (== workers when
-  /// ServeConfig::max_workers is 0). Immutable; sizes the slot arrays.
-  int pool_cap_ = 0;
-  /// Requests each worker slot has closed into its current batch (0 =
-  /// idle). Summed for ServiceStats::in_flight. Sized pool_cap_.
-  std::vector<std::int64_t> worker_in_flight_ EPIM_GUARDED_BY(mu_);
-  /// Which slots currently hold a live worker thread. A shrinking worker
-  /// clears its flag under mu_ just before returning; maybe_grow_locked
-  /// joins the exited thread and relaunches the slot. Sized pool_cap_.
-  std::vector<char> worker_live_ EPIM_GUARDED_BY(mu_);
-  int live_workers_ EPIM_GUARDED_BY(mu_) = 0;
+  /// Workers executing a batch, and the requests in those batches: a
+  /// closing worker adds 1 and its batch size, and subtracts them when it
+  /// re-locks after run_batch.
+  int busy_workers_ EPIM_GUARDED_BY(mu_) = 0;
+  std::int64_t in_flight_ EPIM_GUARDED_BY(mu_) = 0;
 
-  /// Worker threads by slot, sized pool_cap_ (retired slots hold joined or
-  /// default-constructed threads). Last member: joins before teardown.
-  /// Written only under mu_ while workers run (maybe_grow_locked) and by
-  /// the quiescent join loops in ~InferenceService/detach(), which run
-  /// after stop_ is set under mu_ -- at that point maybe_grow_locked is a
-  /// no-op, so the unlocked joins race with nothing.
+  /// The ServeConfig::workers batch threads, started by the constructor
+  /// and never changed until the join in ~InferenceService/detach().
+  /// Last member: joins before teardown.
   std::vector<std::thread> workers_;
 };
 

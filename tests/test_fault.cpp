@@ -375,14 +375,14 @@ TEST_F(ServiceFault, RandomBatchFaultsEveryRequestResolves) {
 // The serve.schedule point fires at batch-close selection, AFTER the
 // scheduler picked the batch and the queue lock dropped: the pinned chaos
 // contract is that an injected fault fails exactly that batch's futures,
-// every submitted request still resolves, and the adaptive pool never dips
-// below ServeConfig::workers (a scheduling fault must not kill workers).
+// every submitted request still resolves, and the fixed pool of
+// ServeConfig::workers keeps serving (a scheduling fault must not kill
+// workers).
 TEST_F(ServiceFault, ScheduleFaultsResolveAllRequestsAndKeepThePoolFloor) {
   FaultZoo& zoo = FaultZoo::instance();
   const std::vector<Tensor> want = zoo.reference_logits(0);
   ServeConfig cfg;
   cfg.workers = 2;
-  cfg.max_workers = 4;
   cfg.max_batch = 4;
   cfg.flush_deadline_ms = 0.5;
   InferenceService service(zoo.deploy(0), cfg);
@@ -424,15 +424,13 @@ TEST_F(ServiceFault, ScheduleFaultsResolveAllRequestsAndKeepThePoolFloor) {
   EXPECT_GT(fault::hits("serve.schedule"), 0)
       << "batch closes never evaluated the armed point";
 
-  // The pool floor held through the chaos, and recovery is immediate once
-  // the point is disarmed: the same service serves bit-identical values.
-  ServiceStats stats = service.stats();
-  EXPECT_GE(stats.live_workers, cfg.workers)
-      << "a scheduling fault must never shrink the pool below the floor";
+  // The busy count never exceeds the fixed pool, and recovery is immediate
+  // once the point is disarmed: the same service serves bit-identical
+  // values.
+  EXPECT_LE(service.stats().busy_workers, cfg.workers);
   fault::disarm("serve.schedule");
   expect_same_logits(service.submit(zoo.data.test.sample(0)).get().logits,
                      want[0], "post-disarm");
-  EXPECT_GE(service.stats().live_workers, cfg.workers);
 }
 
 // ---- registry circuit breaker ----

@@ -158,8 +158,6 @@ PipelineConfig random_config(Rng& rng) {
   cfg.serve.flush_deadline_ms = rng.uniform(0.5, 5.0);
   cfg.serve.workers = rng.uniform_int(1, 8);
   cfg.serve.max_queue = rng.flip() ? 0 : rng.uniform_int(1, 2048);
-  cfg.serve.max_workers =
-      rng.flip() ? 0 : rng.uniform_int(cfg.serve.workers, 16);
   cfg.serve.fairness_quantum = rng.uniform_int(1, 64);
   cfg.serve.reslice_bursts = rng.flip();
   cfg.anchors =
@@ -193,7 +191,6 @@ TEST(ArtifactCompiled, PropertyRandomConfigsRoundTripByteIdentically) {
               cfg.serve.flush_deadline_ms);
     EXPECT_EQ(loaded.config().serve.workers, cfg.serve.workers);
     EXPECT_EQ(loaded.config().serve.max_queue, cfg.serve.max_queue);
-    EXPECT_EQ(loaded.config().serve.max_workers, cfg.serve.max_workers);
     EXPECT_EQ(loaded.config().serve.fairness_quantum,
               cfg.serve.fairness_quantum);
     EXPECT_EQ(loaded.config().serve.reslice_bursts,
@@ -233,17 +230,18 @@ struct DeployedFixture {
   }
 };
 
-void expect_bit_identical_logits(DeployedModel& a, DeployedModel& b,
+void expect_bit_identical_logits(const DeployedModel& a,
+                                 const DeployedModel& b,
                                  const Dataset& images) {
   for (std::int64_t i = 0; i < images.size(); ++i) {
-    const Tensor la = a.forward(images.sample(i));
-    const std::int64_t clips_a = a.last_clip_count();
-    const Tensor lb = b.forward(images.sample(i));
+    std::int64_t clips_a = -1, clips_b = -1;
+    const Tensor la = a.forward(images.sample(i), &clips_a);
+    const Tensor lb = b.forward(images.sample(i), &clips_b);
     ASSERT_EQ(la.shape(), lb.shape());
     for (std::int64_t j = 0; j < la.numel(); ++j) {
       EXPECT_EQ(la.at(j), lb.at(j)) << "image " << i << " logit " << j;
     }
-    EXPECT_EQ(clips_a, b.last_clip_count()) << "image " << i;
+    EXPECT_EQ(clips_a, clips_b) << "image " << i;
   }
 }
 
@@ -371,9 +369,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   // Superseded versions are rejected cleanly too: the positional codec
-  // cannot decode a v1..v4 payload (ServeConfig grew in v2, v3 and v4 and
-  // shrank in v5), so they must fail with the version message, never a
-  // misparse deeper in.
+  // cannot decode a v1..v5 payload (ServeConfig grew in v2, v3 and v4 and
+  // shrank in v5 and v6), so they must fail with the version message, never
+  // a misparse deeper in.
   bytes[8] = 1;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
@@ -384,6 +382,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   bytes[8] = 4;
+  dump(bad, bytes);
+  expect_load_error(bad, artifact::kErrBadVersion);
+  bytes[8] = 5;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
 }
@@ -605,8 +606,9 @@ TEST(InferenceService, ResultsBitIdenticalToDirectRuntime) {
   std::vector<Tensor> expected;
   std::vector<std::int64_t> expected_clips;
   for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
-    expected.push_back(reference.forward(fx.data.test.sample(i)));
-    expected_clips.push_back(reference.last_clip_count());
+    std::int64_t clips = -1;
+    expected.push_back(reference.forward(fx.data.test.sample(i), &clips));
+    expected_clips.push_back(clips);
   }
 
   // The full scheduler grid: pool threads x continuous-batching workers x
@@ -852,8 +854,9 @@ TEST(InferenceService, StatsCountsIgnoreTheRecordingSwitch) {
           .serve(one_by_one);
   std::int64_t expected_clips = 0;
   for (std::int64_t i = 0; i < 6; ++i) {
-    (void)reference.forward(fx.data.test.sample(i));
-    expected_clips += reference.last_clip_count();
+    std::int64_t clips = -1;
+    (void)reference.forward(fx.data.test.sample(i), &clips);
+    expected_clips += clips;
     (void)service.submit(fx.data.test.sample(i)).get();
   }
   const ServiceStats served = service.stats();
@@ -1275,8 +1278,9 @@ TEST(SchedulerService, ResultsBitIdenticalAcrossPriorityClientWorkerGrid) {
   std::vector<Tensor> expected;
   std::vector<std::int64_t> expected_clips;
   for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
-    expected.push_back(reference.forward(fx.data.test.sample(i)));
-    expected_clips.push_back(reference.last_clip_count());
+    std::int64_t clips = -1;
+    expected.push_back(reference.forward(fx.data.test.sample(i), &clips));
+    expected_clips.push_back(clips);
   }
 
   constexpr Priority kClasses[] = {Priority::kInteractive, Priority::kNormal,
@@ -1354,7 +1358,7 @@ TEST(SchedulerService, OversizedBurstWithResliceDisabledIsBurstTooLarge) {
 }
 
 // Satellite bugfix pins, reslice ON half: the same burst is admitted
-// against max_queue + max_workers*max_batch (its slices stream to the pool
+// against max_queue + workers*max_batch (its slices stream to the pool
 // instead of sitting queued), accounted exactly ONCE at submit -- and a
 // burst beyond even that extended bound still dies with the pinned
 // kErrBurstTooLarge.
@@ -1447,58 +1451,68 @@ TEST(SchedulerService, BurstIsReslicedAcrossIdleWorkers) {
   EXPECT_EQ(serial.stats().mean_batch_size, 12.0);
 }
 
-// The adaptive pool grows one worker per demand event up to max_workers
-// while queued work exceeds what the idle workers can absorb, and shrinks
-// back to the `workers` floor once idle.
-TEST(SchedulerService, AdaptivePoolGrowsUnderBacklogAndShrinksWhenIdle) {
+// The pool is fixed at `workers`: a backlog behind parked batches never
+// starts another thread. busy_workers/in_flight count exactly the closed
+// batches, and drop back to zero once they complete -- with every result
+// bit-identical to forward_batch.
+TEST(SchedulerService, BacklogNeverGrowsThePool) {
   DeployedFixture& fx = DeployedFixture::instance();
   ServeConfig scfg;
   scfg.max_batch = 1;
-  scfg.flush_deadline_ms = 0.5;
-  scfg.workers = 1;
-  scfg.max_workers = 4;
+  scfg.workers = 2;
   InferenceService service =
       std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
           .serve(scfg);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.workers, 1);
-  EXPECT_EQ(stats.max_workers, 4);
-  EXPECT_EQ(stats.live_workers, 1);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 8; ++i) {
+    images.push_back(fx.data.test.sample(i % fx.data.test.size()));
+  }
+  std::vector<std::int64_t> expected_clips;
+  const std::vector<Tensor> expected =
+      Pipeline{PipelineConfig{}}
+          .deploy(fx.net, fx.data.train)
+          .forward_batch(images, &expected_clips);
 
-  // Park every executing batch so backlog builds deterministically: each
-  // submission past the idle capacity is a growth event.
+  // Park every executing batch so the backlog cannot drain.
   fault::arm_gate("serve.run_batch");
   std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.submit(fx.data.test.sample(0)));
-  }
-  const auto grow_deadline =
+  for (const Tensor& image : images) futures.push_back(service.submit(image));
+  const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.stats().live_workers < 4 &&
-         std::chrono::steady_clock::now() < grow_deadline) {
+  while (service.stats().busy_workers < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(service.stats().live_workers, 4);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.workers, 2);
+  EXPECT_EQ(stats.busy_workers, 2);
+  EXPECT_EQ(stats.queued, 6);
+  EXPECT_EQ(stats.in_flight, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(service.stats().busy_workers, 2);
 
   fault::open_gate("serve.run_batch");
-  for (auto& f : futures) (void)f.get();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const InferenceResult result = futures[i].get();
+    ASSERT_EQ(result.logits.shape(), expected[i].shape());
+    for (std::int64_t j = 0; j < result.logits.numel(); ++j) {
+      EXPECT_EQ(result.logits.at(j), expected[i].at(j))
+          << "request " << i << " logit " << j;
+    }
+    EXPECT_EQ(result.clip_count, expected_clips[i]) << "request " << i;
+  }
   fault::disarm("serve.run_batch");
-
-  // Idle shrink: back to the floor (never below), one idle timeout per
-  // surplus worker.
-  const auto shrink_deadline =
+  // A worker fulfils its batch before it re-locks and drops its counts.
+  const auto idle_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.stats().live_workers > 1 &&
-         std::chrono::steady_clock::now() < shrink_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (service.stats().busy_workers > 0 &&
+         std::chrono::steady_clock::now() < idle_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stats = service.stats();
-  EXPECT_EQ(stats.live_workers, 1);
   EXPECT_EQ(stats.requests, 8);
-
-  // The shrunk pool still serves (a retired slot regrows on demand).
-  (void)service.submit(fx.data.test.sample(0)).get();
-  EXPECT_EQ(service.stats().requests, 9);
+  EXPECT_EQ(stats.busy_workers, 0);
+  EXPECT_EQ(stats.in_flight, 0);
 }
 
 // Per-priority stats splits: the scalar counters stay the class sums.
