@@ -30,10 +30,10 @@
 //                          behind disk + crossbar programming
 //                          (head-of-line blocking); with lock-dropped
 //                          loads this row should track registry_single
-//   artifact_load_mmap /   one load_deployed() of the same artifact
-//   artifact_load_read     through the mmap (lazy checksum) and read()
-//                          (eager checksum) paths -- the materialization
-//                          I/O cost the registry pays per cold start
+//   artifact_load          one load_deployed() of the same artifact (read,
+//                          verify every checksum, decode, program the
+//                          crossbars) -- the materialization cost the
+//                          registry pays per cold start
 //
 // The PR 4 acceptance gate: fleet3 throughput >= 0.8x registry_single on
 // the same thread budget -- i.e. hosting three models behind one front door
@@ -58,7 +58,6 @@
 #include "common/parallel.hpp"
 #include "pipeline/pipeline.hpp"
 #include "registry/registry.hpp"
-#include "serve/artifact.hpp"
 #include "serve/service.hpp"
 #include "telemetry/telemetry.hpp"
 #include "train/trainer.hpp"
@@ -302,27 +301,12 @@ std::vector<Record> run_suite() {
     churner.join();
   }
 
-  // Materialization I/O: one load_deployed() of the same artifact through
-  // the mmap (lazy checksum) and read() (eager checksum) paths.
-  {
-    set_num_threads(1);
-    const artifact::IoMode saved = artifact::io_mode();
-    for (const artifact::IoMode mode :
-         {artifact::IoMode::kMmap, artifact::IoMode::kRead}) {
-      artifact::set_io_mode(mode);
-      records.push_back(record(mode == artifact::IoMode::kMmap
-                                   ? "artifact_load_mmap"
-                                   : "artifact_load_read",
-                               1,
-                               measure_ms(
-                                   [&] {
-                                     (void)Pipeline::load_deployed(paths[0]);
-                                   },
-                                   100.0),
-                               1.0));
-    }
-    artifact::set_io_mode(saved);
-  }
+  // Materialization cost: one load_deployed() of the same artifact.
+  set_num_threads(1);
+  records.push_back(record(
+      "artifact_load", 1,
+      measure_ms([&] { (void)Pipeline::load_deployed(paths[0]); }, 100.0),
+      1.0));
 
   set_num_threads(1);
   for (const std::string& path : paths) std::remove(path.c_str());

@@ -35,10 +35,7 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
   Rng rng(non_ideal.seed);
   const std::size_t plane = static_cast<std::size_t>(rows_ * cols_);
   cells_.assign(static_cast<std::size_t>(slices_) * plane, 0.0);
-  if (ideal_) {
-    digits_.assign(cells_.size(), 0);
-    signed_weights_.assign(plane, 0);
-  }
+  if (ideal_) signed_weights_.assign(plane, 0);
   for (std::int64_t r = 0; r < rows_; ++r) {
     EPIM_CHECK(static_cast<std::int64_t>(weights[static_cast<std::size_t>(r)]
                                              .size()) == cols_,
@@ -67,10 +64,7 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
                 level_max);
           }
         }
-        const std::size_t idx =
-            static_cast<std::size_t>((s * rows_ + r) * cols_ + c);
-        cells_[idx] = level;
-        if (ideal_) digits_[idx] = static_cast<std::int32_t>(digit);
+        cells_[static_cast<std::size_t>((s * rows_ + r) * cols_ + c)] = level;
         stored >>= radix_bits;
       }
       if (ideal_) {
@@ -82,12 +76,14 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
     // Worst-case per-cycle column current: every row enabled and driving a
     // one bit. If even that fits the ADC, no input can ever clip and the
     // whole bit-serial schedule collapses to one integer dot product.
-    const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
-    std::int64_t worst = 0;
+    // (Ideal cells hold exact small integers, so the double sums are exact.)
+    const double adc_max =
+        static_cast<double>((std::int64_t{1} << config_.adc_bits) - 1);
+    double worst = 0.0;
     for (std::int64_t s = 0; s < slices_; ++s) {
       for (std::int64_t c = 0; c < cols_; ++c) {
-        std::int64_t sum = 0;
-        const std::int32_t* col = digits_.data() + s * rows_ * cols_ + c;
+        double sum = 0.0;
+        const double* col = cells_.data() + s * rows_ * cols_ + c;
         for (std::int64_t r = 0; r < rows_; ++r) sum += col[r * cols_];
         worst = std::max(worst, sum);
       }
@@ -124,7 +120,6 @@ thread_local std::vector<std::int32_t> t_active;
 thread_local std::vector<std::int16_t> t_x16;
 thread_local std::vector<std::int64_t> t_acc64;
 thread_local std::vector<double> t_current_analog;
-thread_local std::vector<std::int64_t> t_current_ideal;
 
 }  // namespace
 
@@ -238,38 +233,6 @@ void CrossbarArray::mvm_analog(const std::uint32_t* input,
   }
 }
 
-void CrossbarArray::mvm_ideal_serial(const std::uint32_t* input,
-                                     std::span<const std::int32_t> active,
-                                     int act_bits, std::int64_t* acc,
-                                     std::int64_t& clips) const {
-  // Same schedule as the analog path, but on exact integer digits: column
-  // sums of small non-negative integers are exactly representable, so this
-  // is bit-identical to digitizing the double-precision currents.
-  const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
-  const int radix_bits = config_.cell_bits;
-  std::vector<std::int64_t>& current = t_current_ideal;
-  current.assign(static_cast<std::size_t>(cols_), 0);
-  for (int t = 0; t < act_bits; ++t) {
-    for (std::int64_t s = 0; s < slices_; ++s) {
-      const std::int32_t* plane = digits_.data() + s * rows_ * cols_;
-      std::fill(current.begin(), current.end(), 0);
-      for (const std::int32_t r : active) {
-        if (((input[r] >> t) & 1u) == 0u) continue;
-        const std::int32_t* row = plane + static_cast<std::int64_t>(r) * cols_;
-        for (std::int64_t c = 0; c < cols_; ++c) current[c] += row[c];
-      }
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        std::int64_t code = current[static_cast<std::size_t>(c)];
-        if (code > adc_max) {  // saturating ADC
-          code = adc_max;
-          ++clips;
-        }
-        acc[c] += code << (t + static_cast<int>(s) * radix_bits);
-      }
-    }
-  }
-}
-
 void CrossbarArray::mvm_rows(const std::uint32_t* codes, std::int64_t stride,
                              std::int64_t n,
                              std::span<const std::int32_t> active,
@@ -296,18 +259,15 @@ void CrossbarArray::mvm_rows(const std::uint32_t* codes, std::int64_t stride,
     return;  // no clipping by construction
   }
 
-  // Bit-serial paths: one vector at a time, every column (clip events are
-  // counted over the whole array), then the first ncols are added to out.
+  // Bit-serial analog reference: one vector at a time, every column (clip
+  // events are counted over the whole array), then the first ncols are
+  // added to out.
   std::vector<std::int64_t>& acc = t_acc64;
   std::int64_t clips = 0;
   for (std::int64_t p = 0; p < n; ++p) {
     const std::uint32_t* input = codes + p * stride;
     acc.assign(static_cast<std::size_t>(cols_), 0);
-    if (ideal_) {
-      mvm_ideal_serial(input, active, act_bits, acc.data(), clips);
-    } else {
-      mvm_analog(input, active, act_bits, acc.data(), clips);
-    }
+    mvm_analog(input, active, act_bits, acc.data(), clips);
     // Remove the offset-binary bias: stored = w + offset, so the analog
     // result overcounts by offset * sum(enabled inputs).
     std::int64_t input_sum = 0;

@@ -21,12 +21,13 @@
 //    which bounds every partial sum and so proves int32 exact, taking its
 //    operands as int16 (inputs below 2^15, weights of at most 16 bits) so
 //    the dot product vectorizes on the baseline ISA; otherwise in int64;
-//  * ideal-serial path (ideal array, ADC too narrow): the bit-serial
-//    schedule on integer digits, reproducing ADC saturation;
-//  * analog path (non-ideal array): the double-precision reference.
-// The two bit-serial paths run vector by vector in ascending row order, so
-// their digits, doubles and clip counts are those of one-vector calls. All
-// three are bit-identical to the analog reference on an ideal array. The
+//  * analog path (every other array: non-ideal, or ideal with an ADC that
+//    can clip): the double-precision bit-serial reference. An ideal
+//    array's cells hold exact small integers, so its current sums and
+//    llround are exact and it reproduces ADC saturation bit for bit.
+// The analog path runs vector by vector in ascending row order, so its
+// doubles and clip counts are those of one-vector calls. Both direct paths
+// are bit-identical to the analog reference on an ideal array. The
 // per-vector mvm() overloads are n = 1 wrappers over the same kernel.
 #pragma once
 
@@ -116,15 +117,11 @@ class CrossbarArray {
                        std::int64_t n, std::span<const std::int32_t> active,
                        std::uint32_t mask, std::int64_t* out,
                        std::int64_t out_stride, std::int64_t ncols) const;
-  /// Analog reference path (always taken by non-ideal arrays), one vector.
+  /// Analog reference path (every array the direct paths cannot take),
+  /// one vector.
   void mvm_analog(const std::uint32_t* input,
                   std::span<const std::int32_t> active, int act_bits,
                   std::int64_t* acc, std::int64_t& clips) const;
-  /// Ideal array, ADC too narrow for the worst-case column current:
-  /// bit-serial on integer digits, bit-identical saturation behaviour.
-  void mvm_ideal_serial(const std::uint32_t* input,
-                        std::span<const std::int32_t> active, int act_bits,
-                        std::int64_t* acc, std::int64_t& clips) const;
 
   CrossbarConfig config_;
   int weight_bits_;
@@ -136,9 +133,6 @@ class CrossbarArray {
   /// cells_[(s * rows_ + r) * cols_ + c]. Exactly the digit of (w + offset)
   /// for an ideal array; perturbed by the non-ideality model otherwise.
   std::vector<double> cells_;
-  /// Ideal arrays only: the same digits as integers (same flat layout), the
-  /// operands of the bit-serial integer fast path.
-  std::vector<std::int32_t> digits_;
   /// Ideal arrays only: the signed logical weights, row-major (rows x cols),
   /// the operands of the direct path.
   std::vector<std::int32_t> signed_weights_;

@@ -37,8 +37,6 @@ void validate_serve(const ServeConfig& serve) {
                  std::to_string(detail::kMaxThreads) + "]");
   EPIM_CHECK(serve.max_queue >= 0,
              "serve.max_queue must be non-negative (0 = unbounded)");
-  EPIM_CHECK(serve.fairness_quantum >= 1,
-             "serve.fairness_quantum must be positive");
 }
 
 void validate_design(const DesignConfig& design) {

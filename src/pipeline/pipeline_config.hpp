@@ -149,11 +149,6 @@ struct ServeConfig {
   /// queued, and the whole burst is counted ONCE at submit so concurrent
   /// slices can never double-reject.
   int max_queue = 0;
-  /// Scheduler fairness knob (must be positive), in requests. Doubles as
-  /// the deficit-round-robin top-up per client per ring visit and as the
-  /// anti-starvation bound: a non-empty priority class passed over this
-  /// many consecutive batch selections gets the next batch's first slot.
-  int fairness_quantum = 4;
   /// When true (the default), a submit_batch burst larger than max_batch is
   /// re-sliced: enqueued whole, then closed as ceil(queued/idle-workers)
   /// slices by concurrent workers instead of draining as serial max_batch

@@ -21,6 +21,21 @@ void check_target_component(const std::string& value, const char* what) {
              std::string(what) + " must not contain '@', got '" + value + "'");
 }
 
+/// Add the traffic counters of `from` into `into` -- the one fold behind
+/// retired totals and fleet stats. Rates, gauges and percentiles describe
+/// one live service and are left alone.
+void add_counters(ServiceStats& into, const ServiceStats& from) {
+  into.requests += from.requests;
+  into.batches += from.batches;
+  into.clip_events += from.clip_events;
+  into.rejected += from.rejected;
+  into.deadline_misses += from.deadline_misses;
+  for (std::size_t p = 0; p < into.completed_by_priority.size(); ++p) {
+    into.completed_by_priority[p] += from.completed_by_priority[p];
+    into.deadline_misses_by_priority[p] += from.deadline_misses_by_priority[p];
+  }
+}
+
 }  // namespace
 
 const char* to_string(HealthState state) {
@@ -471,18 +486,7 @@ void ModelRegistry::enforce_budget(MutexLock& lock, Entry& fresh) {
     const ServiceStats final = old->stats();
     old.reset();
     lock.lock();
-    victim->retired.requests += final.requests;
-    victim->retired.batches += final.batches;
-    victim->retired.clip_events += final.clip_events;
-    victim->retired.rejected += final.rejected;
-    victim->retired.deadline_misses += final.deadline_misses;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      victim->retired.completed_by_priority[static_cast<std::size_t>(p)] +=
-          final.completed_by_priority[static_cast<std::size_t>(p)];
-      victim->retired
-          .deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-          final.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-    }
+    add_counters(victim->retired, final);
     victim->evictions += 1;
     victim->metrics.evictions->inc(1);
     if (!victim->artifact_backed()) {
@@ -510,17 +514,7 @@ void ModelRegistry::retire(std::unique_ptr<InferenceService> service,
   MutexLock lock(mu_);
   // Entries are never removed, so the entry still exists.
   Entry& entry = find_entry_locked(name, version);
-  entry.retired.requests += final.requests;
-  entry.retired.batches += final.batches;
-  entry.retired.clip_events += final.clip_events;
-  entry.retired.rejected += final.rejected;
-  entry.retired.deadline_misses += final.deadline_misses;
-  for (int p = 0; p < kNumPriorities; ++p) {
-    entry.retired.completed_by_priority[static_cast<std::size_t>(p)] +=
-        final.completed_by_priority[static_cast<std::size_t>(p)];
-    entry.retired.deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-        final.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-  }
+  add_counters(entry.retired, final);
 }
 
 void ModelRegistry::reload(const std::string& name,
@@ -747,14 +741,7 @@ RegistrySnapshot ModelRegistry::stats() const {
       m.evictions = entry.evictions;
       // Retired counters now; the live service's share is folded in below,
       // outside the lock.
-      m.stats.requests = entry.retired.requests;
-      m.stats.batches = entry.retired.batches;
-      m.stats.clip_events = entry.retired.clip_events;
-      m.stats.rejected = entry.retired.rejected;
-      m.stats.deadline_misses = entry.retired.deadline_misses;
-      m.stats.completed_by_priority = entry.retired.completed_by_priority;
-      m.stats.deadline_misses_by_priority =
-          entry.retired.deadline_misses_by_priority;
+      add_counters(m.stats, entry.retired);
       m.health = entry.health;
       m.consecutive_failures = entry.consecutive_failures;
       m.materialize_failures = entry.materialize_failures;
@@ -783,17 +770,7 @@ RegistrySnapshot ModelRegistry::stats() const {
     // Fold the retired counters captured under the lock into the live
     // snapshot; rates/gauges (items_per_sec, queued, percentiles, workers)
     // describe the live service alone and come along unchanged.
-    live.requests += m.stats.requests;
-    live.batches += m.stats.batches;
-    live.clip_events += m.stats.clip_events;
-    live.rejected += m.stats.rejected;
-    live.deadline_misses += m.stats.deadline_misses;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      live.completed_by_priority[static_cast<std::size_t>(p)] +=
-          m.stats.completed_by_priority[static_cast<std::size_t>(p)];
-      live.deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-          m.stats.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-    }
+    add_counters(live, m.stats);
     m.stats = live;
   }
 
@@ -833,7 +810,7 @@ void ModelRegistry::reset_stats() {
   MutexLock lock(mu_);
   for (auto& [name, family] : families_) {
     for (auto& [version, entry] : family.versions) {
-      entry.retired = RetiredCounters{};
+      entry.retired = ServiceStats{};
       // Traffic counter, so it belongs to the interval; the breaker state
       // and lifetime materialize_failures are structural and stay.
       entry.health_fast_fails = 0;

@@ -375,18 +375,6 @@ class ModelRegistry {
       "model is quarantined (circuit breaker open)";
 
  private:
-  struct RetiredCounters {
-    std::int64_t requests = 0;
-    std::int64_t batches = 0;
-    std::int64_t clip_events = 0;
-    std::int64_t rejected = 0;
-    std::int64_t deadline_misses = 0;
-    /// Per-priority splits of requests/deadline_misses (the scalars stay
-    /// the class sums), folded from the same retiring-service snapshots.
-    std::array<std::int64_t, kNumPriorities> completed_by_priority{};
-    std::array<std::int64_t, kNumPriorities> deadline_misses_by_priority{};
-  };
-
   /// Cached telemetry series for one entry ({model} = "name@version").
   /// Resolved at registration BEFORE the registry lock is taken -- series
   /// lookup acquires telemetry::Registry::mu_, which must stay a leaf never
@@ -411,7 +399,9 @@ class ModelRegistry {
     ServeConfig serve{};
     std::uint64_t last_used = 0;        ///< LRU tick
     std::int64_t evictions = 0;
-    RetiredCounters retired{};          ///< from evicted/swapped services
+    /// Counters of evicted/swapped services (and load-wait sheds); only
+    /// the fields add_counters() folds are ever non-zero.
+    ServiceStats retired{};
     EntryMetrics metrics{};             ///< see EntryMetrics
 
     // --- lifecycle state machine (fields mutated only under the registry

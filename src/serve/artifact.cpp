@@ -9,13 +9,6 @@
 #include <utility>
 #include <vector>
 
-#ifndef _WIN32
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 #include "common/check.hpp"
 #include "common/fault_inject.hpp"
 #include "pipeline/pipeline.hpp"
@@ -416,9 +409,10 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   // histogram) -- the codec is positional, so a v4 payload cannot be
   // decoded and is rejected by the version check.
   w.i32(c.serve.max_queue);
-  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core);
-  // the adaptive-pool ceiling was dropped by schema v6 (fixed pool).
-  w.i32(c.serve.fairness_quantum);
+  // Scheduler knob appended by schema v4 (SLA-aware scheduling core); the
+  // adaptive-pool ceiling was dropped by schema v6 (fixed pool) and
+  // fairness_quantum by schema v7 (the quantum is the constant
+  // kFairnessQuantum).
   w.boolean(c.serve.reslice_bursts);
   w.str(c.anchors.model);
   w.f64(c.anchors.conv_fp32);
@@ -458,8 +452,7 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.serve.flush_deadline_ms = r.f64();
   c.serve.workers = r.i32();
   c.serve.max_queue = r.i32();
-  // Schema v4 scheduler knobs (see the writer's matching comment).
-  c.serve.fairness_quantum = r.i32();
+  // Schema v4 scheduler knob (see the writer's matching comment).
   c.serve.reslice_bursts = r.boolean();
   c.anchors.model = r.str();
   c.anchors.conv_fp32 = r.f64();
@@ -733,11 +726,12 @@ void write_container(const std::string& path, artifact::Kind kind,
   }
 }
 
-/// Reject paths an ifstream would "open" but never read sensibly (a
-/// directory opens fine on POSIX and only fails at the first read, which
-/// would surface as a misleading kErrTruncated). Pinned messages:
-/// nonexistent -> kErrCannotOpen, directory/device -> kErrNotFile.
-void check_readable_file(const std::string& path) {
+/// Open an artifact for reading, rejecting paths an ifstream would "open"
+/// but never read sensibly (a directory opens fine on POSIX and only fails
+/// at the first read, which would surface as a misleading kErrTruncated).
+/// Pinned messages: nonexistent -> kErrCannotOpen, directory/device ->
+/// kErrNotFile.
+std::ifstream open_artifact(const std::string& path) {
   // Chaos hook: a failed open (permissions, unmounted volume) happens here,
   // before any filesystem call.
   fault::maybe_fail("artifact.open");
@@ -748,120 +742,88 @@ void check_readable_file(const std::string& path) {
              std::string(artifact::kErrCannotOpen) + ": " + path);
   EPIM_CHECK(std::filesystem::is_regular_file(status),
              std::string(artifact::kErrNotFile) + ": " + path);
-}
-
-/// Whole-file slurp; the caller has already run check_readable_file().
-std::vector<std::uint8_t> slurp_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EPIM_CHECK(in.good(), std::string(artifact::kErrCannotOpen) + ": " + path);
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
+  return in;
 }
 
-void check_header(const std::uint8_t* data, std::size_t size) {
+/// The fixed 20-byte header. Only the magic is judged here; each caller
+/// decides which versions and kinds it accepts.
+struct Header {
+  std::uint32_t version = 0;
+  std::uint32_t kind = 0;
+  std::uint32_t section_count = 0;
+};
+
+Header parse_header(const std::uint8_t* data, std::size_t size) {
   EPIM_CHECK(size >= kHeaderBytes, kErrTruncated);
   EPIM_CHECK(std::memcmp(data, kMagic, 8) == 0, kErrBadMagic);
+  Reader r(data + 8, kHeaderBytes - 8);
+  Header h;
+  h.version = r.u32();
+  h.kind = r.u32();
+  h.section_count = r.u32();
+  return h;
 }
 
-std::atomic<artifact::IoMode> g_io_mode{
-#ifndef _WIN32
-    artifact::IoMode::kMmap
-#else
-    artifact::IoMode::kRead
-#endif
-};
-
-#ifndef _WIN32
-/// Read-only mmap of a whole file, the backing store of the zero-copy load
-/// path: decoders consume the page cache directly instead of a slurped heap
-/// duplicate. An empty file maps nothing (data() == nullptr, size() == 0);
-/// header validation rejects it as truncated before any payload access.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    EPIM_CHECK(fd >= 0, std::string(artifact::kErrCannotOpen) + ": " + path);
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      EPIM_CHECK(false,
-                 std::string(artifact::kErrCannotOpen) + ": " + path);
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ > 0) {
-      void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (addr == MAP_FAILED) {
-        ::close(fd);
-        EPIM_CHECK(false, std::string(artifact::kErrCannotOpen) + ": " +
-                              path + " (mmap)");
-      }
-      data_ = static_cast<const std::uint8_t*>(addr);
-    }
-    ::close(fd);  // the mapping keeps the file contents reachable
-  }
-  ~MappedFile() {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-#endif
-
-/// Parsed .epim container over one of two interchangeable backing stores:
-///
-///  * IoMode::kMmap -- the file is mapped read-only and section payloads are
-///    validated LAZILY: the FNV-1a checksum runs on a section's first
-///    reader() touch, so a load never checksums (or copies) bytes it does
-///    not decode.
-///  * IoMode::kRead -- the file is slurped and every checksum verified
-///    EAGERLY before any payload is decoded: the original codec, kept as
-///    the golden reference the mmap path must stay bit-identical to.
-///
-/// Either way the section table is fully bounds-checked up front and a
-/// corrupt payload raises the same pinned kErrChecksum.
+/// Parsed .epim container. The file is read whole in one sized read, the
+/// section table is bounds-checked, and every section's checksum is
+/// verified before any payload byte reaches a decoder.
 class Container {
  public:
   Container(const std::string& path, artifact::Kind expected_kind) {
-    check_readable_file(path);
-#ifndef _WIN32
-    if (g_io_mode.load(std::memory_order_relaxed) ==
-        artifact::IoMode::kMmap) {
-      map_.emplace(path);
-      data_ = map_->data();
-      size_ = map_->size();
-      lazy_ = true;
-    }
-#endif
-    if (!lazy_) {
-      bytes_ = slurp_file(path);
-      data_ = bytes_.data();
-      size_ = bytes_.size();
-    }
-    // Chaos hook: an I/O error mid-read (truncated slurp, yanked disk); on
-    // the mmap path it fires once the mapping is established.
+    std::ifstream in = open_artifact(path);
+    in.seekg(0, std::ios::end);
+    const std::streamoff size = in.tellg();
+    EPIM_CHECK(size >= 0,
+               std::string(artifact::kErrCannotOpen) + ": " + path);
+    in.seekg(0, std::ios::beg);
+    bytes_.resize(static_cast<std::size_t>(size));
+    in.read(reinterpret_cast<char*>(bytes_.data()),
+            static_cast<std::streamsize>(size));
+    // A file that shrank under us decodes as whatever was read: the table
+    // walk below rejects the shortfall as kErrTruncated.
+    bytes_.resize(static_cast<std::size_t>(in.gcount()));
+    // Chaos hook: an I/O error mid-read (truncated read, yanked disk).
     fault::maybe_fail("artifact.read");
-    parse(expected_kind);
-    if (!lazy_) {
-      for (SectionView& s : sections_) validate(s);
+
+    const Header header = parse_header(bytes_.data(), bytes_.size());
+    EPIM_CHECK(header.version == artifact::kSchemaVersion, kErrBadVersion);
+    EPIM_CHECK(header.kind == static_cast<std::uint32_t>(expected_kind),
+               kErrBadKind);
+    const std::size_t total = bytes_.size();
+    std::size_t pos = kHeaderBytes;
+    for (std::uint32_t s = 0; s < header.section_count; ++s) {
+      EPIM_CHECK(total - pos >= kSectionHeaderBytes, kErrTruncated);
+      Reader sh(bytes_.data() + pos, kSectionHeaderBytes);
+      SectionView view;
+      for (int i = 0; i < 8; ++i) {
+        const char c = static_cast<char>(sh.u8());
+        if (c != '\0') view.tag.push_back(c);
+      }
+      const std::uint64_t payload = sh.u64();
+      view.checksum = sh.u64();
+      pos += kSectionHeaderBytes;
+      EPIM_CHECK(payload <= total - pos, kErrTruncated);
+      view.data = bytes_.data() + pos;
+      view.size = static_cast<std::size_t>(payload);
+      pos += view.size;
+      sections_.push_back(std::move(view));
+    }
+    for (const SectionView& s : sections_) {
+      // Chaos hook folded into the verification itself: a firing
+      // artifact.checksum fault takes the REAL corruption-rejection path
+      // and raises the same pinned kErrChecksum as flipped bits on disk.
+      EPIM_CHECK(!fault::should_fire("artifact.checksum") &&
+                     fnv1a(s.data, s.size) == s.checksum,
+                 kErrChecksum);
     }
   }
 
-  /// Decoder positioned at the start of the section tagged `tag`. On the
-  /// mmap path this is where the section's checksum is verified (once).
-  Reader reader(const std::string& tag) {
-    for (SectionView& s : sections_) {
-      if (s.tag != tag) continue;
-      if (!s.validated) validate(s);
-      return Reader(s.data, s.size);
+  /// Decoder positioned at the start of the section tagged `tag`.
+  Reader reader(const std::string& tag) const {
+    for (const SectionView& s : sections_) {
+      if (s.tag == tag) return Reader(s.data, s.size);
     }
     EPIM_CHECK(false, "artifact is missing section '" + tag + "'");
     // Unreachable; EPIM_CHECK(false, ...) always throws.
@@ -874,59 +836,9 @@ class Container {
     const std::uint8_t* data = nullptr;
     std::size_t size = 0;
     std::uint64_t checksum = 0;
-    bool validated = false;
   };
 
-  /// Header + section-table walk. Bounds-checks every section against the
-  /// file size but touches no payload bytes (keeps the lazy path lazy).
-  void parse(artifact::Kind expected_kind) {
-    check_header(data_, size_);
-    Reader header(data_, size_);
-    for (int i = 0; i < 8; ++i) header.u8();  // magic, already checked
-    const std::uint32_t version = header.u32();
-    EPIM_CHECK(version == artifact::kSchemaVersion, kErrBadVersion);
-    const std::uint32_t kind = header.u32();
-    EPIM_CHECK(kind == static_cast<std::uint32_t>(expected_kind),
-               kErrBadKind);
-    const std::uint32_t count = header.u32();
-
-    std::size_t pos = kHeaderBytes;
-    for (std::uint32_t s = 0; s < count; ++s) {
-      EPIM_CHECK(size_ - pos >= kSectionHeaderBytes, kErrTruncated);
-      Reader sh(data_ + pos, kSectionHeaderBytes);
-      SectionView view;
-      for (int i = 0; i < 8; ++i) {
-        const char c = static_cast<char>(sh.u8());
-        if (c != '\0') view.tag.push_back(c);
-      }
-      const std::uint64_t size = sh.u64();
-      view.checksum = sh.u64();
-      pos += kSectionHeaderBytes;
-      EPIM_CHECK(size <= size_ - pos, kErrTruncated);
-      view.data = data_ + pos;
-      view.size = static_cast<std::size_t>(size);
-      pos += view.size;
-      sections_.push_back(std::move(view));
-    }
-  }
-
-  void validate(SectionView& s) {
-    // Chaos hook folded into the verification itself: a firing
-    // artifact.checksum fault takes the REAL corruption-rejection path and
-    // raises the same pinned kErrChecksum as flipped bits on disk would.
-    EPIM_CHECK(!fault::should_fire("artifact.checksum") &&
-                   fnv1a(s.data, s.size) == s.checksum,
-               kErrChecksum);
-    s.validated = true;
-  }
-
-#ifndef _WIN32
-  std::optional<MappedFile> map_;
-#endif
-  std::vector<std::uint8_t> bytes_;  ///< kRead backing store
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool lazy_ = false;
+  std::vector<std::uint8_t> bytes_;
   std::vector<SectionView> sections_;
 };
 
@@ -1083,32 +995,21 @@ DeployedModel ArtifactCodec::load_deployed(const std::string& path) {
 
 namespace artifact {
 
-void set_io_mode(IoMode mode) {
-  g_io_mode.store(mode, std::memory_order_relaxed);
-}
-
-IoMode io_mode() { return g_io_mode.load(std::memory_order_relaxed); }
-
 Info probe(const std::string& path) {
-  // Header only -- probing a multi-megabyte deployed artifact must not
-  // slurp the weights (nor map them; the 20 bytes are cheaper read).
-  check_readable_file(path);
-  std::ifstream in(path, std::ios::binary);
-  EPIM_CHECK(in.good(), std::string(kErrCannotOpen) + ": " + path);
-  std::vector<std::uint8_t> bytes(kHeaderBytes);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  bytes.resize(static_cast<std::size_t>(in.gcount()));
-  check_header(bytes.data(), bytes.size());
-  Reader r(bytes.data(), bytes.size());
-  for (int i = 0; i < 8; ++i) r.u8();
+  // Header only -- probing a multi-megabyte deployed artifact must not read
+  // the weights.
+  std::ifstream in = open_artifact(path);
+  std::uint8_t bytes[kHeaderBytes];
+  in.read(reinterpret_cast<char*>(bytes), kHeaderBytes);
+  const Header header =
+      parse_header(bytes, static_cast<std::size_t>(in.gcount()));
+  EPIM_CHECK(
+      header.kind == static_cast<std::uint32_t>(Kind::kCompiledModel) ||
+          header.kind == static_cast<std::uint32_t>(Kind::kDeployedModel),
+      kErrBadKind);
   Info info;
-  info.version = r.u32();
-  const std::uint32_t kind = r.u32();
-  EPIM_CHECK(kind == static_cast<std::uint32_t>(Kind::kCompiledModel) ||
-                 kind == static_cast<std::uint32_t>(Kind::kDeployedModel),
-             kErrBadKind);
-  info.kind = static_cast<Kind>(kind);
+  info.version = header.version;
+  info.kind = static_cast<Kind>(header.kind);
   return info;
 }
 

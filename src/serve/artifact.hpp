@@ -19,15 +19,11 @@
 //     checksum u64 FNV-1a over the payload
 //     payload  size bytes
 //
-// load() verifies magic, version, kind and the section table up front;
+// load() reads the file whole, then verifies magic, version, kind, the
+// section table and EVERY section's checksum before it decodes a byte;
 // truncation, foreign files, future versions and bit corruption are all
 // rejected with distinct InvalidArgument messages (see kErr* below, pinned
-// by tests/test_serve.cpp). WHEN payload checksums are verified depends on
-// the I/O mode (see IoMode): the mmap path maps the file read-only and
-// checks each section lazily on its first decode touch; the read() path
-// slurps the file and checks every section eagerly before decoding a byte.
-// Both paths decode bit-identically and reject corruption with the same
-// pinned kErrChecksum.
+// by tests/test_serve.cpp).
 //
 // Determinism contract: loading re-resolves the precision plan and
 // re-programs the crossbars (non-ideality draws are re-seeded from the
@@ -55,8 +51,9 @@ namespace artifact {
 /// reslice_bursts (SLA-aware scheduling core); v5 = ServeConfig lost
 /// latency_window (the stats digest is the interval latency histogram);
 /// v6 = ServeConfig lost the adaptive-pool ceiling (every service runs a
-/// fixed pool of `workers` threads).
-inline constexpr std::uint32_t kSchemaVersion = 6;
+/// fixed pool of `workers` threads); v7 = ServeConfig lost fairness_quantum
+/// (the scheduler quantum is the constant kFairnessQuantum).
+inline constexpr std::uint32_t kSchemaVersion = 7;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {
@@ -76,24 +73,6 @@ inline constexpr const char* kErrBadVersion =
 inline constexpr const char* kErrBadKind = "artifact kind mismatch";
 inline constexpr const char* kErrChecksum =
     "artifact section checksum mismatch";
-
-/// Backing store load_*() decodes from.
-enum class IoMode : std::uint32_t {
-  /// Map the file read-only (zero-copy: decoders consume the page cache
-  /// directly, no slurped heap duplicate of the weights) and verify each
-  /// section's checksum LAZILY, on its first decode touch.
-  kMmap,
-  /// Slurp the whole file and verify every section EAGERLY before decoding
-  /// a byte -- the original codec, kept as the golden reference the mmap
-  /// path must stay bit-identical to (including rejection errors).
-  kRead,
-};
-
-/// Process-wide I/O mode switch (atomic; applies to subsequent loads).
-/// Defaults to kMmap on POSIX and kRead elsewhere; on platforms without
-/// mmap the setting is recorded but loads always take the read path.
-void set_io_mode(IoMode mode);
-IoMode io_mode();
 
 /// Header summary of an artifact on disk (cheap: reads only the 20-byte
 /// header, never the payload).

@@ -8,13 +8,13 @@
 //   1. PRIORITY  -- strict priority across the three classes
 //                   (kInteractive > kNormal > kBulk), with an
 //                   anti-starvation reservation: a class that sat non-empty
-//                   through `fairness_quantum` consecutive selections while
+//                   through kFairnessQuantum (4) consecutive selections while
 //                   contributing nothing gets the FIRST slot of the next
 //                   batch, so bulk work is delayed at most a bounded number
 //                   of batch closes, never forever.
 //   2. FAIRNESS  -- deficit round robin across clients within a class
 //                   (SubmitOptions::client_id): each client's deficit is
-//                   topped up by `fairness_quantum` requests when the ring
+//                   topped up by kFairnessQuantum requests when the ring
 //                   cursor visits it and drawn down one per selected
 //                   request, so a chatty client cannot lock out a quiet one
 //                   and a quiet client cannot bank unbounded credit. The
@@ -119,6 +119,12 @@ struct SchedRequest {
   bool no_hold = false;
 };
 
+/// The fairness quantum every InferenceService schedules with, in requests:
+/// the deficit-round-robin top-up per client per ring visit and the
+/// anti-starvation bound (a non-empty class passed over this many
+/// consecutive batch selections gets the next batch's first slot).
+inline constexpr int kFairnessQuantum = 4;
+
 class Scheduler {
  public:
   /// Distinct named client queues per priority class. The 65th client of a
@@ -128,8 +134,8 @@ class Scheduler {
 
   /// `fairness_quantum` is both the DRR top-up (requests per client per
   /// ring visit) and the anti-starvation bound (consecutive empty-handed
-  /// selections before a class gets a reserved slot). Validated >= 1 by
-  /// validate_serve before the service constructs one.
+  /// selections before a class gets a reserved slot). Must be positive;
+  /// the service passes kFairnessQuantum.
   explicit Scheduler(int fairness_quantum);
 
   /// Queue `request` under (request.priority, client). FIFO within the

@@ -45,12 +45,11 @@ std::size_t prio_index(Priority priority) {
 InferenceService::InferenceService(DeployedModel model, ServeConfig config,
                                    const std::string& telemetry_label)
     : model_(std::move(model)),
-      // Validate before any knob is consumed: sched_ below is built from
-      // fairness_quantum, so a bad config must die here with the pinned
-      // validate_serve message, not inside the scheduler.
+      // Validate before any knob is consumed: a bad config must die here
+      // with the pinned validate_serve message.
       config_((validate_serve(config), config)),
       telemetry_label_(telemetry_label.empty() ? "default" : telemetry_label),
-      sched_(config.fairness_quantum) {
+      sched_(kFairnessQuantum) {
   // Resolve every series before any worker exists: the lookups take the
   // telemetry registration mutex (a leaf), and doing it here keeps that
   // mutex off every path that holds mu_.

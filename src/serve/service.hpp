@@ -45,8 +45,8 @@
 // Scheduling (serve/scheduler.hpp): batch selection is strict priority
 // (SubmitOptions::priority) -> deficit-round-robin client fairness
 // (SubmitOptions::client_id) -> FIFO, with a bounded anti-starvation
-// reservation so bulk traffic is delayed at most ServeConfig::
-// fairness_quantum batch closes. A submit_batch burst larger than
+// reservation so bulk traffic is delayed at most kFairnessQuantum (4)
+// batch closes. A submit_batch burst larger than
 // max_batch is re-sliced across idle workers (ServeConfig::reslice_bursts)
 // instead of draining serially. None of this can change results -- only
 // completion order (the PR 5 bit-identity contract, re-pinned across the

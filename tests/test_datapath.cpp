@@ -551,7 +551,7 @@ INSTANTIATE_TEST_SUITE_P(
         // lines on 32-row crossbars; 20 columns, 7 per 21-bit-line tile).
         GoldenEngineCase{"direct_tiled", 12, 20, 3, 1, 6, 4, 4, 6, 20, false,
                          6, 8, 12, {}, 32, 21, false, false},
-        // Narrow ADC on ideal arrays: clipping bit-serial path.
+        // Narrow ADC on ideal arrays: clipping analog bit-serial path.
         GoldenEngineCase{"narrow_adc", 8, 16, 3, 1, 6, 4, 4, 4, 8, false, 6,
                          8, 4, {}, 128, 128, false, true},
         GoldenEngineCase{"narrow_adc_tiled_stride2", 10, 6, 3, 2, 7, 5, 5, 3,

@@ -1,8 +1,8 @@
 // Golden-vector tests for the contiguous-memory crossbar kernel: the
-// rewritten CrossbarArray (flat cell store, enabled-row index list, integer
-// fast paths) must be bit-identical to the seed implementation in every
+// rewritten CrossbarArray (flat cell store, enabled-row index list, direct
+// integer paths) must be bit-identical to the seed implementation in every
 // regime -- ideal wide-ADC (direct integer path), ideal starved-ADC
-// (integer bit-serial path with saturation), and non-ideal (analog path),
+// (analog bit-serial path with saturation), and non-ideal (analog path),
 // including partial row_enable masks and the clip diagnostics -- and the
 // batched mvm_rows() kernel must equal one-vector calls position by
 // position.
@@ -205,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"ideal_wide", 128, 16, 9, 9, 12, {}, 0.8},
         GoldenCase{"ideal_wide_full", 64, 32, 6, 8, 12, {}, 1.0},
         GoldenCase{"ideal_wide_sparse", 37, 5, 5, 7, 12, {}, 0.3},
-        // Ideal + starved ADC: integer bit-serial path with saturation.
+        // Ideal + starved ADC: analog bit-serial path with saturation.
         GoldenCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 1.0},
         GoldenCase{"ideal_clip_partial", 96, 12, 7, 6, 4, {}, 0.6},
         // Non-ideal: analog double-precision path, same RNG draw order.
@@ -334,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Direct path, narrow (int32 sums) and wide (act_bits 16 > int16).
         RowsCase{"direct", 128, 16, 6, 8, 12, {}, 0.6, 8},
         RowsCase{"direct_wide", 40, 7, 6, 16, 12, {}, 0.8, 16},
-        // Narrow ADC on an ideal array: bit-serial integer path, clipping.
+        // Narrow ADC on an ideal array: analog bit-serial path, clipping.
         RowsCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 0.9, 8},
         // Non-ideal array: analog path.
         RowsCase{"analog", 48, 6, 8, 8, 4, noisy(), 0.8, 8},

@@ -158,7 +158,6 @@ PipelineConfig random_config(Rng& rng) {
   cfg.serve.flush_deadline_ms = rng.uniform(0.5, 5.0);
   cfg.serve.workers = rng.uniform_int(1, 8);
   cfg.serve.max_queue = rng.flip() ? 0 : rng.uniform_int(1, 2048);
-  cfg.serve.fairness_quantum = rng.uniform_int(1, 64);
   cfg.serve.reslice_bursts = rng.flip();
   cfg.anchors =
       rng.flip() ? AccuracyAnchors::resnet50() : AccuracyAnchors::resnet101();
@@ -191,8 +190,6 @@ TEST(ArtifactCompiled, PropertyRandomConfigsRoundTripByteIdentically) {
               cfg.serve.flush_deadline_ms);
     EXPECT_EQ(loaded.config().serve.workers, cfg.serve.workers);
     EXPECT_EQ(loaded.config().serve.max_queue, cfg.serve.max_queue);
-    EXPECT_EQ(loaded.config().serve.fairness_quantum,
-              cfg.serve.fairness_quantum);
     EXPECT_EQ(loaded.config().serve.reslice_bursts,
               cfg.serve.reslice_bursts);
     EXPECT_EQ(loaded.config().seed, cfg.seed);
@@ -369,9 +366,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   // Superseded versions are rejected cleanly too: the positional codec
-  // cannot decode a v1..v5 payload (ServeConfig grew in v2, v3 and v4 and
-  // shrank in v5 and v6), so they must fail with the version message, never
-  // a misparse deeper in.
+  // cannot decode a v1..v6 payload (ServeConfig grew in v2, v3 and v4 and
+  // shrank in v5, v6 and v7), so they must fail with the version message,
+  // never a misparse deeper in.
   bytes[8] = 1;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
@@ -385,6 +382,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   bytes[8] = 5;
+  dump(bad, bytes);
+  expect_load_error(bad, artifact::kErrBadVersion);
+  bytes[8] = 6;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
 }
@@ -417,12 +417,10 @@ TEST_F(CorruptionFixture, RejectsCorruptedSectionPayloads) {
   }
 }
 
-TEST_F(CorruptionFixture, RejectsCheckummedTrailingBytes) {
-  // A section that carries bytes past its last decoded field -- with a
-  // *valid* checksum -- is schema drift, not corruption, and must still be
-  // rejected. Grow the first section ("pipecfg") by one byte and recompute
-  // its FNV-1a so only the trailing-bytes guard can catch it.
-  std::vector<char> bytes = slurp(good);
+/// Grow the first section ("pipecfg") of a compiled artifact by one byte
+/// and recompute its size and FNV-1a, so the section still verifies but
+/// carries bytes past its last decoded field.
+void grow_first_section_checksummed(std::vector<char>& bytes) {
   const std::size_t size_at = 20 + 8;      // header + section tag
   const std::size_t checksum_at = size_at + 8;
   const std::size_t payload_at = checksum_at + 8;
@@ -447,8 +445,28 @@ TEST_F(CorruptionFixture, RejectsCheckummedTrailingBytes) {
     bytes[checksum_at + static_cast<std::size_t>(i)] =
         static_cast<char>((checksum >> (8 * i)) & 0xff);
   }
+}
+
+TEST_F(CorruptionFixture, RejectsCheckummedTrailingBytes) {
+  // A section that carries bytes past its last decoded field -- with a
+  // *valid* checksum -- is schema drift, not corruption, and must still be
+  // rejected: only the trailing-bytes guard can catch it.
+  std::vector<char> bytes = slurp(good);
+  grow_first_section_checksummed(bytes);
   dump(bad, bytes);
   expect_load_error(bad, "artifact section 'pipecfg' has trailing bytes");
+}
+
+TEST_F(CorruptionFixture, VerifiesEverySectionBeforeDecodingAny) {
+  // The first section decodes to a trailing-bytes error, and a payload bit
+  // of the last section is flipped. The loader must verify every section's
+  // checksum before it decodes any of them, so the flip wins.
+  std::vector<char> bytes = slurp(good);
+  grow_first_section_checksummed(bytes);
+  const std::size_t victim = bytes.size() - 2;  // inside the last payload
+  bytes[victim] = static_cast<char>(bytes[victim] ^ 0x40);
+  dump(bad, bytes);
+  expect_load_error(bad, artifact::kErrChecksum);
 }
 
 TEST_F(CorruptionFixture, RejectsMissingFile) {
@@ -459,67 +477,6 @@ TEST_F(CorruptionFixture, RejectsMissingFile) {
     EXPECT_NE(std::string(e.what()).find("cannot open artifact"),
               std::string::npos);
   }
-}
-
-// ---- I/O modes: mmap (lazy checksums) vs read() (eager, golden) ----
-
-/// Restore the process-default I/O mode after a test that switches it.
-struct IoModeGuard {
-  artifact::IoMode saved = artifact::io_mode();
-  ~IoModeGuard() { artifact::set_io_mode(saved); }
-};
-
-TEST(ArtifactIoMode, MmapAndReadPathsDecodeBitIdentically) {
-  IoModeGuard guard;
-  DeployedFixture& fx = DeployedFixture::instance();
-  PipelineConfig cfg;
-  cfg.precision = PrecisionPlan::uniform(6, 8);
-  DeployedModel chip = Pipeline(cfg).deploy(fx.net, fx.data.train);
-  const std::string path = temp_path("iomode_deployed.epim");
-  chip.save(path);
-
-  artifact::set_io_mode(artifact::IoMode::kRead);
-  DeployedModel via_read = Pipeline::load_deployed(path);
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  DeployedModel via_mmap = Pipeline::load_deployed(path);
-  expect_bit_identical_logits(via_read, via_mmap, fx.data.test);
-  EXPECT_EQ(via_read.evaluate(fx.data.test),
-            via_mmap.evaluate(fx.data.test));
-
-  // Compiled artifacts ride the same container reader: both modes decode a
-  // model with identical assignment and estimator numbers.
-  const std::string cpath = temp_path("iomode_compiled.epim");
-  Pipeline{PipelineConfig{}}.compile(mini_resnet()).save(cpath);
-  artifact::set_io_mode(artifact::IoMode::kRead);
-  const CompiledModel c_read = Pipeline::load(cpath);
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  const CompiledModel c_mmap = Pipeline::load(cpath);
-  expect_same_assignment(c_read.assignment(), c_mmap.assignment());
-  expect_same_evaluation(c_read.estimate(), c_mmap.estimate());
-  std::remove(path.c_str());
-  std::remove(cpath.c_str());
-}
-
-TEST(ArtifactIoMode, MmapLazyChecksumStillRejectsBitFlips) {
-  IoModeGuard guard;
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  const std::string good_path = temp_path("iomode_corrupt_base.epim");
-  const std::string bad_path = temp_path("iomode_corrupt_case.epim");
-  Pipeline{PipelineConfig{}}.compile(mini_resnet()).save(good_path);
-  const std::vector<char> bytes = slurp(good_path);
-  // Flip one bit in the middle and one near the end (different sections):
-  // the mmap path defers each section's checksum to its first decode touch,
-  // but a flipped payload bit must still surface as the pinned kErrChecksum
-  // before any of that section's fields reach a caller.
-  for (const std::size_t victim : {bytes.size() / 2, bytes.size() - 2}) {
-    SCOPED_TRACE("flip at " + std::to_string(victim));
-    std::vector<char> corrupt = bytes;
-    corrupt[victim] = static_cast<char>(corrupt[victim] ^ 0x40);
-    dump(bad_path, corrupt);
-    expect_load_error(bad_path, artifact::kErrChecksum);
-  }
-  std::remove(good_path.c_str());
-  std::remove(bad_path.c_str());
 }
 
 // Both façade loaders, against both bad-path shapes, with the messages
