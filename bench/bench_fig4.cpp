@@ -30,7 +30,7 @@ struct SweepPoint {
 int main() {
   using namespace epim;
   const Network net = resnet50();
-  const Pipeline pipeline{PipelineConfig{}};  // W9A9, analytical backend
+  const Pipeline pipeline{PipelineConfig{}};  // W9A9
   DesignConfig baseline_design;
   baseline_design.policy = DesignPolicy::kBaseline;
   const auto baseline =

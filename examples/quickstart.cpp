@@ -5,8 +5,8 @@
 //     design for it.
 //  2. Look at the sampling plan (how the crossbars will be activated).
 //  3. Run the layer through the IFAT/IFRT/OFAT datapath, check it equals the
-//     reference convolution, and confirm the pipeline's two evaluation
-//     backends agree on the activity counts.
+//     reference convolution, and confirm the analytical estimator and the
+//     functional datapath agree on the activity counts.
 //  4. Compare hardware cost (crossbars / latency / energy) of the
 //     convolution vs the epitome on the behaviour-level PIM model.
 //
@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "datapath/datapath_sim.hpp"
 #include "nn/conv_exec.hpp"
+#include "pipeline/activity.hpp"
 #include "pipeline/pipeline.hpp"
 #include "tensor/ops.hpp"
 
@@ -70,12 +71,11 @@ int main() {
               max_abs_diff(via_datapath, reference),
               static_cast<long long>(reference.numel()));
 
-  // HW/SW agreement: the pipeline's (analytical) backend's activity
-  // accounting must match what the functional datapath actually does.
-  const DatapathBackend functional(pipeline.config().hardware.crossbar,
-                                   pipeline.config().hardware.lut);
-  const LayerActivity a = pipeline.backend().layer_activity(layer, *spec, 1);
-  const LayerActivity f = functional.layer_activity(layer, *spec, 1);
+  // HW/SW agreement: the analytical estimator's activity accounting must
+  // match what the functional datapath actually does.
+  const LayerActivity a =
+      analytical_activity(pipeline.estimator(), layer, *spec);
+  const LayerActivity f = datapath_activity(layer, *spec, 1);
   std::printf("activity counts, analytical vs functional datapath: "
               "%lld vs %lld crossbar rounds -- %s\n\n",
               static_cast<long long>(a.crossbar_rounds),

@@ -1,4 +1,4 @@
-#include "pipeline/backend.hpp"
+#include "pipeline/activity.hpp"
 
 #include <algorithm>
 #include <utility>
@@ -12,9 +12,12 @@
 
 namespace epim {
 
-namespace {
-
-LayerActivity activity_from_cost(const LayerCost& cost) {
+LayerActivity analytical_activity(const PimEstimator& estimator,
+                                  const ConvLayerInfo& layer,
+                                  const EpitomeSpec& spec) {
+  // Counts depend only on the sampling plan, so the probe precision (W9A9)
+  // is arbitrary.
+  const LayerCost cost = estimator.eval_epitome_layer(layer, spec, 9, 9);
   LayerActivity a;
   a.positions = cost.positions;
   a.crossbar_rounds = cost.positions * cost.rounds_per_position;
@@ -22,42 +25,8 @@ LayerActivity activity_from_cost(const LayerCost& cost) {
   return a;
 }
 
-/// The analytical activity derivation shared by AnalyticalBackend and
-/// DatapathBackend's cross-check. Counts depend only on the sampling plan,
-/// so the probe precision (W9A9) is arbitrary.
-LayerActivity analytical_activity(const EpimSimulator& sim,
-                                  const ConvLayerInfo& layer,
-                                  const EpitomeSpec& spec) {
-  return activity_from_cost(sim.estimator().eval_epitome_layer(layer, spec,
-                                                               9, 9));
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// AnalyticalBackend
-// ---------------------------------------------------------------------------
-
-EpimSimulator::Evaluation AnalyticalBackend::evaluate(
-    const NetworkAssignment& assignment, const PrecisionConfig& precision,
-    const QuantConfig& scheme, const AccuracyProjector& projector,
-    std::uint64_t seed) const {
-  return sim_.evaluate(assignment, precision, scheme, projector, seed);
-}
-
-LayerActivity AnalyticalBackend::layer_activity(const ConvLayerInfo& layer,
-                                                const EpitomeSpec& spec,
-                                                std::uint64_t /*seed*/) const {
-  return analytical_activity(sim_, layer, spec);
-}
-
-// ---------------------------------------------------------------------------
-// DatapathBackend
-// ---------------------------------------------------------------------------
-
-LayerActivity DatapathBackend::layer_activity(const ConvLayerInfo& layer,
-                                              const EpitomeSpec& spec,
-                                              std::uint64_t seed) const {
+LayerActivity datapath_activity(const ConvLayerInfo& layer,
+                                const EpitomeSpec& spec, std::uint64_t seed) {
   const ConvSpec& conv = layer.conv;
   // Shrink the feature map to the smallest size with at least one output
   // position: per-position activity is position-independent, so measuring a
@@ -89,16 +58,13 @@ LayerActivity DatapathBackend::layer_activity(const ConvLayerInfo& layer,
   return a;
 }
 
-EpimSimulator::Evaluation DatapathBackend::evaluate(
-    const NetworkAssignment& assignment, const PrecisionConfig& precision,
-    const QuantConfig& scheme, const AccuracyProjector& projector,
-    std::uint64_t seed) const {
-  // Cross-check every distinct (conv, epitome) pair: the analytical
-  // estimator's activity accounting must equal what the functional datapath
-  // actually does. Distinct pairs only -- ResNet stages repeat shapes. The
-  // pairs are collected serially (order-dependent dedup) and then the
-  // datapath executions, the expensive part, fan out across threads; a
-  // disagreement on any layer still surfaces as InternalError.
+void check_activity_agreement(const PimEstimator& estimator,
+                              const NetworkAssignment& assignment,
+                              std::uint64_t seed) {
+  // Distinct pairs only -- ResNet stages repeat shapes. The pairs are
+  // collected serially (order-dependent dedup) and then the datapath
+  // executions, the expensive part, fan out across threads; a disagreement
+  // on any layer still surfaces as InternalError.
   std::vector<std::pair<ConvSpec, EpitomeSpec>> checked;
   std::vector<const ConvLayerInfo*> to_check;
   for (std::int64_t i = 0; i < assignment.num_layers(); ++i) {
@@ -119,15 +85,11 @@ EpimSimulator::Evaluation DatapathBackend::evaluate(
                      *to_check[static_cast<std::size_t>(i)];
                  const EpitomeSpec& spec =
                      checked[static_cast<std::size_t>(i)].second;
-                 const LayerActivity functional =
-                     layer_activity(layer, spec, seed);
-                 const LayerActivity analytical =
-                     analytical_activity(sim_, layer, spec);
-                 EPIM_ASSERT(functional == analytical,
+                 EPIM_ASSERT(datapath_activity(layer, spec, seed) ==
+                                 analytical_activity(estimator, layer, spec),
                              "HW/SW activity disagreement on layer " +
                                  layer.name);
                });
-  return sim_.evaluate(assignment, precision, scheme, projector, seed);
 }
 
 }  // namespace epim

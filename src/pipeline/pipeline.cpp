@@ -101,13 +101,11 @@ double DeployedModel::evaluate(const Dataset& dataset,
 // ---------------------------------------------------------------------------
 
 CompiledModel::CompiledModel(std::shared_ptr<const PipelineConfig> config,
-                             std::shared_ptr<const EvaluationBackend> backend,
-                             std::shared_ptr<const PimEstimator> estimator,
+                             std::shared_ptr<const EpimSimulator> sim,
                              std::unique_ptr<Network> net,
                              const DesignConfig& design)
     : config_(std::move(config)),
-      backend_(std::move(backend)),
-      estimator_(std::move(estimator)),
+      sim_(std::move(sim)),
       net_(std::move(net)),
       design_(design),
       assignment_(build_assignment(*net_, design_)),
@@ -140,9 +138,8 @@ void CompiledModel::resolve_precision() {
 
 const CompiledModel::Evaluation& CompiledModel::estimate() const {
   if (!estimate_cache_) {
-    estimate_cache_ = backend_->evaluate(assignment_, precision_,
-                                         config_->quant, projector_,
-                                         config_->seed);
+    estimate_cache_ = sim_->evaluate(assignment_, precision_, config_->quant,
+                                     projector_, config_->seed);
   }
   return *estimate_cache_;
 }
@@ -152,7 +149,7 @@ EvoSearchResult CompiledModel::search() {
              "CompiledModel::search() requires config.search.enabled");
   EvoSearchConfig evo = config_->search.evo;
   evo.precision = precision_;
-  EvolutionSearch searcher(*net_, *estimator_, evo);
+  EvolutionSearch searcher(*net_, sim_->estimator(), evo);
   EvoSearchResult result = searcher.run();
   assignment_ = result.best;
   searched_ = true;
@@ -178,7 +175,6 @@ TextTable CompiledModel::to_table() const {
       {"epitome layers", std::to_string(assignment_.num_epitome_layers())});
   table.add_row({"design", design_description(design_, searched_)});
   table.add_row({"precision", precision_description(config_->precision)});
-  table.add_row({"backend", backend_->name()});
   table.add_row(
       {"parameters (M)",
        fmt(static_cast<double>(assignment_.total_weights()) / 1e6, 2)});
@@ -206,24 +202,11 @@ std::string CompiledModel::summary() const {
 // Pipeline
 // ---------------------------------------------------------------------------
 
-Pipeline::Pipeline(PipelineConfig config)
-    : Pipeline(std::move(config), nullptr) {}
-
-Pipeline::Pipeline(PipelineConfig config,
-                   std::shared_ptr<const EvaluationBackend> backend) {
+Pipeline::Pipeline(PipelineConfig config) {
   config.validate();
   config_ = std::make_shared<const PipelineConfig>(std::move(config));
-  estimator_ = std::make_shared<const PimEstimator>(config_->hardware.crossbar,
-                                                    config_->hardware.lut);
-  if (backend != nullptr) {
-    backend_ = std::move(backend);
-  } else if (config_->backend == BackendKind::kDatapath) {
-    backend_ = std::make_shared<const DatapathBackend>(
-        config_->hardware.crossbar, config_->hardware.lut);
-  } else {
-    backend_ = std::make_shared<const AnalyticalBackend>(
-        config_->hardware.crossbar, config_->hardware.lut);
-  }
+  sim_ = std::make_shared<const EpimSimulator>(config_->hardware.crossbar,
+                                               config_->hardware.lut);
 }
 
 CompiledModel Pipeline::compile(const Network& net) const {
@@ -233,8 +216,8 @@ CompiledModel Pipeline::compile(const Network& net) const {
 CompiledModel Pipeline::compile(const Network& net,
                                 const DesignConfig& design) const {
   validate_design(design);
-  return CompiledModel(config_, backend_, estimator_,
-                       std::make_unique<Network>(net), design);
+  return CompiledModel(config_, sim_, std::make_unique<Network>(net),
+                       design);
 }
 
 DeployedModel Pipeline::deploy(const SmallEpitomeNet& model,

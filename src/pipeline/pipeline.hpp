@@ -5,7 +5,7 @@
 //
 //   PipelineConfig cfg;                       // aggregate of all sub-configs
 //   cfg.precision = PrecisionPlan::uniform(9, 9);
-//   Pipeline pipeline(cfg);                   // validates, builds backend
+//   Pipeline pipeline(cfg);                   // validates, builds simulator
 //   CompiledModel model = pipeline.compile(resnet50());
 //   auto eval = model.estimate();             // cost + projected accuracy
 //   model.search();                           // optional evo refinement
@@ -14,8 +14,9 @@
 //
 // CompiledModel owns its Network copy, chosen NetworkAssignment and precision
 // plan, so it stays valid after the source Network goes away. Evaluation is
-// delegated to a pluggable EvaluationBackend (see backend.hpp); swapping the
-// backend never changes caller code.
+// the analytical EpimSimulator (sim/simulator.hpp); the HW/SW activity check
+// that ties its costs to the functional datapath is check_activity_agreement
+// (pipeline/activity.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,11 @@
 
 #include "common/table.hpp"
 #include "core/assignment.hpp"
-#include "pipeline/backend.hpp"
 #include "pipeline/pipeline_config.hpp"
 #include "quant/mixed_precision.hpp"
 #include "runtime/pim_runtime.hpp"
 #include "search/evolution.hpp"
+#include "sim/simulator.hpp"
 #include "train/trainer.hpp"
 
 namespace epim {
@@ -113,14 +114,14 @@ class CompiledModel {
   const Network& network() const { return *net_; }
   const NetworkAssignment& assignment() const { return assignment_; }
   const PrecisionConfig& precision() const { return precision_; }
-  const EvaluationBackend& backend() const { return *backend_; }
 
   /// HAWQ-lite allocation detail (set iff the plan is kHawqMixed).
   const std::optional<MixedPrecisionResult>& mixed_precision() const {
     return mixed_;
   }
 
-  /// Analytical NetworkCost + projected accuracy via the backend. Cached;
+  /// Analytical NetworkCost + projected accuracy (EpimSimulator::evaluate
+  /// under the config's quant scheme and seed). Cached;
   /// recomputed after search() changes the assignment.
   const Evaluation& estimate() const;
 
@@ -151,16 +152,14 @@ class CompiledModel {
   friend class Pipeline;
   friend class ArtifactCodec;
   CompiledModel(std::shared_ptr<const PipelineConfig> config,
-                std::shared_ptr<const EvaluationBackend> backend,
-                std::shared_ptr<const PimEstimator> estimator,
+                std::shared_ptr<const EpimSimulator> sim,
                 std::unique_ptr<Network> net, const DesignConfig& design);
 
   /// Re-resolve the precision plan against the current assignment.
   void resolve_precision();
 
   std::shared_ptr<const PipelineConfig> config_;
-  std::shared_ptr<const EvaluationBackend> backend_;
-  std::shared_ptr<const PimEstimator> estimator_;
+  std::shared_ptr<const EpimSimulator> sim_;
   std::unique_ptr<Network> net_;  ///< owned; stable address for assignment_
   DesignConfig design_;           ///< policy this model was compiled under
   NetworkAssignment assignment_;
@@ -171,26 +170,20 @@ class CompiledModel {
   mutable std::optional<Evaluation> estimate_cache_;
 };
 
-/// The façade. Construction validates the config and builds the evaluation
-/// backend; compile() turns Networks into CompiledModel artifacts; deploy()
-/// programs trained models onto the functional chip.
+/// The façade. Construction validates the config and builds the simulator;
+/// compile() turns Networks into CompiledModel artifacts; deploy() programs
+/// trained models onto the functional chip.
 class Pipeline {
  public:
-  /// Validates `config` (throws InvalidArgument) and constructs the backend
-  /// selected by `config.backend`.
+  /// Validates `config` (throws InvalidArgument) and builds the simulator
+  /// from its hardware config.
   explicit Pipeline(PipelineConfig config);
 
-  /// Same, with a caller-supplied backend (batched / multi-chip / test
-  /// doubles slot in here).
-  Pipeline(PipelineConfig config,
-           std::shared_ptr<const EvaluationBackend> backend);
-
   const PipelineConfig& config() const { return *config_; }
-  const EvaluationBackend& backend() const { return *backend_; }
 
   /// The analytical estimator built from the hardware config (exposed for
   /// layer-level probes and auxiliary planners: duplication, chip model).
-  const PimEstimator& estimator() const { return *estimator_; }
+  const PimEstimator& estimator() const { return sim_->estimator(); }
 
   /// Compile a network: design the epitome assignment under the config's
   /// policy and resolve the precision plan.
@@ -221,8 +214,7 @@ class Pipeline {
 
  private:
   std::shared_ptr<const PipelineConfig> config_;
-  std::shared_ptr<const EvaluationBackend> backend_;
-  std::shared_ptr<const PimEstimator> estimator_;
+  std::shared_ptr<const EpimSimulator> sim_;
 };
 
 }  // namespace epim

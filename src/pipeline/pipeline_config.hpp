@@ -158,13 +158,6 @@ struct ServeConfig {
   bool reslice_bursts = true;
 };
 
-/// Which EvaluationBackend Pipeline constructs by default.
-enum class BackendKind {
-  kAnalytical,  ///< behaviour-level estimator + accuracy projection
-  kDatapath,    ///< analytical costs cross-checked against the functional
-                ///< IFAT/IFRT/OFAT datapath's activity counters
-};
-
 /// Validates one design policy group (also used by Pipeline::compile's
 /// per-call design overrides); throws InvalidArgument.
 void validate_design(const DesignConfig& design);
@@ -187,7 +180,6 @@ struct PipelineConfig {
   ServeConfig serve{};
   /// Accuracy anchors of the target model family (paper FP32 points).
   AccuracyAnchors anchors = AccuracyAnchors::resnet50();
-  BackendKind backend = BackendKind::kAnalytical;
   /// Seed for the synthetic weight draws of noise measurement; matches
   /// EpimSimulator::evaluate's default so façade estimates are bit-identical
   /// to hand-wired ones.

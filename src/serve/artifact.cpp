@@ -183,17 +183,19 @@ class Reader {
 
   bool exhausted() const { return pos_ == size_; }
 
- private:
-  void need(std::uint64_t n) {
-    EPIM_CHECK(n <= size_ - pos_, "artifact section payload exhausted");
-  }
   /// Read an element count and bounds-check it against the remaining bytes
   /// before allocating (a corrupted-but-checksummed count must not OOM).
+  /// `elem_bytes` is the smallest encoding of one element.
   std::uint64_t checked_count(std::uint64_t elem_bytes) {
     const std::uint64_t n = u64();
     EPIM_CHECK(n <= (size_ - pos_) / elem_bytes,
                "artifact section payload exhausted");
     return n;
+  }
+
+ private:
+  void need(std::uint64_t n) {
+    EPIM_CHECK(n <= size_ - pos_, "artifact section payload exhausted");
   }
 
   const std::uint8_t* data_;
@@ -419,7 +421,8 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   w.f64(c.anchors.epitome_fp32);
   w.f64(c.anchors.penalty_scale);
   w.f64(c.anchors.prune_penalty_scale);
-  w.u32(static_cast<std::uint32_t>(c.backend));
+  // The evaluation-backend selector was dropped by schema v8 (estimation is
+  // always analytical; the HW/SW activity check is a separate function).
   w.u64(c.seed);
 }
 
@@ -459,7 +462,6 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.anchors.epitome_fp32 = r.f64();
   c.anchors.penalty_scale = r.f64();
   c.anchors.prune_penalty_scale = r.f64();
-  c.backend = decode_enum(r.u32(), BackendKind::kDatapath);
   c.seed = r.u64();
   return c;
 }
@@ -907,7 +909,8 @@ CompiledModel ArtifactCodec::load_compiled(const std::string& path) {
   expect_exhausted(net_r, "network");
 
   Reader assign_r = container.reader("assign");
-  const std::uint64_t n_layers = assign_r.u64();
+  // Each layer entry holds at least its presence byte.
+  const std::uint64_t n_layers = assign_r.checked_count(1);
   std::vector<std::optional<EpitomeSpec>> choices;
   choices.reserve(static_cast<std::size_t>(n_layers));
   for (std::uint64_t i = 0; i < n_layers; ++i) {
@@ -924,9 +927,9 @@ CompiledModel ArtifactCodec::load_compiled(const std::string& path) {
   const PrecisionConfig stored_precision = get_precision_config(precis_r);
   expect_exhausted(precis_r, "precis");
 
-  // Rebuild the pipeline (validates the config, constructs backend +
-  // estimator) and compile under the stored design, then overwrite the
-  // designed assignment with the stored per-layer choices (which may carry a
+  // Rebuild the pipeline (validates the config, constructs the simulator)
+  // and compile under the stored design, then overwrite the designed
+  // assignment with the stored per-layer choices (which may carry a
   // search() refinement the design policy alone would not reproduce).
   Pipeline pipeline(cfg);
   CompiledModel model = pipeline.compile(net, design);

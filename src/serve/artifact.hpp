@@ -52,8 +52,10 @@ namespace artifact {
 /// latency_window (the stats digest is the interval latency histogram);
 /// v6 = ServeConfig lost the adaptive-pool ceiling (every service runs a
 /// fixed pool of `workers` threads); v7 = ServeConfig lost fairness_quantum
-/// (the scheduler quantum is the constant kFairnessQuantum).
-inline constexpr std::uint32_t kSchemaVersion = 7;
+/// (the scheduler quantum is the constant kFairnessQuantum); v8 =
+/// PipelineConfig lost the evaluation-backend selector (estimation is always
+/// analytical).
+inline constexpr std::uint32_t kSchemaVersion = 8;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {
@@ -91,7 +93,7 @@ void save(const CompiledModel& model, const std::string& path);
 void save(const DeployedModel& model, const std::string& path);
 
 /// Load a compiled-model artifact. The embedded PipelineConfig rebuilds the
-/// backend/estimator, so the result is self-contained.
+/// simulator, so the result is self-contained.
 CompiledModel load_compiled(const std::string& path);
 
 /// Load a deployed-model artifact and re-program the crossbars; the result

@@ -1,5 +1,5 @@
 // Golden end-to-end regression tests: the paper-facing numbers and report
-// rendering are pinned at string/value level, so façade or backend
+// rendering are pinned at string/value level, so façade or estimator
 // refactors cannot silently drift them. If a change legitimately moves one
 // of these values, update the golden here *in the same PR* and call the
 // movement out in review.
@@ -22,24 +22,23 @@ TEST(GoldenReport, ResNet18DefaultSummaryPinned) {
   const CompiledModel model = Pipeline{PipelineConfig{}}.compile(resnet18());
   const std::string expected =
       "=== EPIM pipeline report: ResNet18 ===\n"
-      "| metric                     | value                |\n"
-      "|----------------------------+----------------------|\n"
-      "| network                    | ResNet18             |\n"
-      "| weighted layers            | 21                   |\n"
-      "| epitome layers             | 13                   |\n"
-      "| design                     | uniform 1024x256     |\n"
-      "| precision                  | W9A9                 |\n"
-      "| backend                    | analytical-estimator |\n"
-      "| parameters (M)             | 2.96                 |\n"
-      "| param compression          | 3.95x                |\n"
-      "| crossbars                  | 926                  |\n"
-      "| latency (ms)               | 22.8                 |\n"
-      "| dynamic energy (mJ)        | 2.2                  |\n"
-      "| static energy (mJ)         | 2.1                  |\n"
-      "| energy (mJ)                | 4.3                  |\n"
-      "| EDP (mJ*ms)                | 98                   |\n"
-      "| memristor utilization      | 97.5%                |\n"
-      "| top-1 accuracy (projected) | 73.95                |\n";
+      "| metric                     | value            |\n"
+      "|----------------------------+------------------|\n"
+      "| network                    | ResNet18         |\n"
+      "| weighted layers            | 21               |\n"
+      "| epitome layers             | 13               |\n"
+      "| design                     | uniform 1024x256 |\n"
+      "| precision                  | W9A9             |\n"
+      "| parameters (M)             | 2.96             |\n"
+      "| param compression          | 3.95x            |\n"
+      "| crossbars                  | 926              |\n"
+      "| latency (ms)               | 22.8             |\n"
+      "| dynamic energy (mJ)        | 2.2              |\n"
+      "| static energy (mJ)         | 2.1              |\n"
+      "| energy (mJ)                | 4.3              |\n"
+      "| EDP (mJ*ms)                | 98               |\n"
+      "| memristor utilization      | 97.5%            |\n"
+      "| top-1 accuracy (projected) | 73.95            |\n";
   EXPECT_EQ(model.summary(), expected);
 }
 
@@ -49,24 +48,23 @@ TEST(GoldenReport, ResNet50DefaultSummaryPinned) {
   const CompiledModel model = Pipeline{PipelineConfig{}}.compile(resnet50());
   const std::string expected =
       "=== EPIM pipeline report: ResNet50 ===\n"
-      "| metric                     | value                |\n"
-      "|----------------------------+----------------------|\n"
-      "| network                    | ResNet50             |\n"
-      "| weighted layers            | 54                   |\n"
-      "| epitome layers             | 33                   |\n"
-      "| design                     | uniform 1024x256     |\n"
-      "| precision                  | W9A9                 |\n"
-      "| backend                    | analytical-estimator |\n"
-      "| parameters (M)             | 7.20                 |\n"
-      "| param compression          | 3.54x                |\n"
-      "| crossbars                  | 2236                 |\n"
-      "| latency (ms)               | 49.2                 |\n"
-      "| dynamic energy (mJ)        | 6.5                  |\n"
-      "| static energy (mJ)         | 11.0                 |\n"
-      "| energy (mJ)                | 17.5                 |\n"
-      "| EDP (mJ*ms)                | 859                  |\n"
-      "| memristor utilization      | 98.3%                |\n"
-      "| top-1 accuracy (projected) | 73.96                |\n";
+      "| metric                     | value            |\n"
+      "|----------------------------+------------------|\n"
+      "| network                    | ResNet50         |\n"
+      "| weighted layers            | 54               |\n"
+      "| epitome layers             | 33               |\n"
+      "| design                     | uniform 1024x256 |\n"
+      "| precision                  | W9A9             |\n"
+      "| parameters (M)             | 7.20             |\n"
+      "| param compression          | 3.54x            |\n"
+      "| crossbars                  | 2236             |\n"
+      "| latency (ms)               | 49.2             |\n"
+      "| dynamic energy (mJ)        | 6.5              |\n"
+      "| static energy (mJ)         | 11.0             |\n"
+      "| energy (mJ)                | 17.5             |\n"
+      "| EDP (mJ*ms)                | 859              |\n"
+      "| memristor utilization      | 98.3%            |\n"
+      "| top-1 accuracy (projected) | 73.96            |\n";
   EXPECT_EQ(model.summary(), expected);
 }
 

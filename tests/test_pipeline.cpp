@@ -1,5 +1,5 @@
 // Tests for the epim::Pipeline façade: config validation, bit-for-bit
-// equivalence between the façade and hand-wired module composition, backend
+// equivalence between the façade and hand-wired module composition, HW/SW
 // activity agreement (analytical vs functional datapath), search gating and
 // on-chip deployment derivation.
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "nn/resnet.hpp"
 #include "nn/vgg.hpp"
+#include "pipeline/activity.hpp"
 #include "pipeline/pipeline.hpp"
 #include "quant/mixed_precision.hpp"
 #include "sim/simulator.hpp"
@@ -334,17 +335,16 @@ TEST(PipelineEquivalence, CompiledModelOutlivesSourceNetwork) {
   EXPECT_EQ(model->network().name(), "ResNet18");
 }
 
-// ---- backend agreement (HW/SW activity counts) ----
+// ---- HW/SW activity agreement (analytical vs functional datapath) ----
 
 TEST(PipelineBackends, ActivityCountsAgreeOnWrappedLayer) {
   const ConvLayerInfo layer{"probe", ConvSpec{16, 32, 3, 3, 1, 1}, 8, 8};
   EpitomeSpec spec{4, 4, 8, 16};
   spec.wrap_output = true;
 
-  const AnalyticalBackend analytical(CrossbarConfig{}, HardwareLut{});
-  const DatapathBackend datapath(CrossbarConfig{}, HardwareLut{});
-  const LayerActivity a = analytical.layer_activity(layer, spec, 1);
-  const LayerActivity d = datapath.layer_activity(layer, spec, 1);
+  const PimEstimator estimator(CrossbarConfig{}, HardwareLut{});
+  const LayerActivity a = analytical_activity(estimator, layer, spec);
+  const LayerActivity d = datapath_activity(layer, spec, 1);
   EXPECT_GT(a.positions, 0);
   EXPECT_GT(a.crossbar_rounds, 0);
   EXPECT_GT(a.replica_copies, 0);  // wrapping produces replicas
@@ -354,34 +354,55 @@ TEST(PipelineBackends, ActivityCountsAgreeOnWrappedLayer) {
 TEST(PipelineBackends, ActivityCountsAgreeOnStridedLayer) {
   const ConvLayerInfo layer{"probe", ConvSpec{32, 64, 3, 3, 2, 1}, 16, 16};
   const EpitomeSpec spec{4, 4, 16, 32};
-  const AnalyticalBackend analytical(CrossbarConfig{}, HardwareLut{});
-  const DatapathBackend datapath(CrossbarConfig{}, HardwareLut{});
-  EXPECT_EQ(analytical.layer_activity(layer, spec, 7),
-            datapath.layer_activity(layer, spec, 7));
+  const PimEstimator estimator(CrossbarConfig{}, HardwareLut{});
+  EXPECT_EQ(analytical_activity(estimator, layer, spec),
+            datapath_activity(layer, spec, 7));
 }
 
-TEST(PipelineBackends, DatapathBackendEvaluateCrossChecksCleanly) {
+TEST(PipelineBackends, ActivityAgreementCheckPassesOnProbeNet) {
   // A small two-layer network the functional datapath can verify quickly;
-  // evaluate() throws InternalError if HW and SW activity ever disagree.
+  // the check throws InternalError if HW and SW activity ever disagree.
   Network net("probe-net");
   net.add_conv({"c1", ConvSpec{16, 32, 3, 3, 1, 1}, 8, 8});
   net.add_conv({"c2", ConvSpec{32, 32, 3, 3, 1, 1}, 8, 8});
 
   PipelineConfig cfg;
-  cfg.backend = BackendKind::kDatapath;
   cfg.design.uniform.target_rows = 64;
   cfg.design.uniform.target_cout = 16;
   cfg.design.uniform.crossbar_size = 16;
   cfg.design.uniform.skip_small_layers = false;
   cfg.design.wrap_output = true;
 
-  PipelineConfig analytical_cfg = cfg;
-  analytical_cfg.backend = BackendKind::kAnalytical;
+  const Pipeline pipeline(cfg);
+  const CompiledModel model = pipeline.compile(net);
+  ASSERT_EQ(model.assignment().num_epitome_layers(), 2);
+  EXPECT_NO_THROW(check_activity_agreement(pipeline.estimator(),
+                                           model.assignment(), cfg.seed));
 
-  const CompiledModel functional = Pipeline(cfg).compile(net);
-  const CompiledModel analytical = Pipeline(analytical_cfg).compile(net);
-  EXPECT_GT(functional.estimate().cost.num_crossbars, 0);
-  expect_same_evaluation(functional.estimate(), analytical.estimate());
+  // estimate() is exactly the hand-wired simulator on the same assignment.
+  const EpimSimulator sim(cfg.hardware.crossbar, cfg.hardware.lut);
+  const auto hand =
+      sim.evaluate(model.assignment(), model.precision(), cfg.quant,
+                   AccuracyProjector(cfg.anchors), cfg.seed);
+  EXPECT_GT(model.estimate().cost.num_crossbars, 0);
+  expect_same_evaluation(model.estimate(), hand);
+}
+
+// Whole-network agreement at ImageNet scale: every distinct epitome layer of
+// ResNet-50 under the default uniform 1024x256 design, with and without
+// output channel wrapping.
+TEST(PipelineBackends, ActivityAgreementCheckPassesOnResNet50) {
+  const Network net = resnet50();
+  for (const bool wrap : {false, true}) {
+    SCOPED_TRACE(wrap ? "wrap_output" : "no wrapping");
+    PipelineConfig cfg;
+    cfg.design.wrap_output = wrap;
+    const Pipeline pipeline(cfg);
+    const CompiledModel model = pipeline.compile(net);
+    ASSERT_GT(model.assignment().num_epitome_layers(), 0);
+    EXPECT_NO_THROW(check_activity_agreement(pipeline.estimator(),
+                                             model.assignment(), cfg.seed));
+  }
 }
 
 // ---- search ----
@@ -476,7 +497,6 @@ TEST(PipelineReport, SummaryMentionsKeyFacts) {
   const std::string text = model.summary();
   EXPECT_NE(text.find("ResNet18"), std::string::npos);
   EXPECT_NE(text.find("W9A9"), std::string::npos);
-  EXPECT_NE(text.find("analytical-estimator"), std::string::npos);
   EXPECT_NE(text.find("crossbars"), std::string::npos);
 }
 

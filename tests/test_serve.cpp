@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -366,9 +367,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   // Superseded versions are rejected cleanly too: the positional codec
-  // cannot decode a v1..v6 payload (ServeConfig grew in v2, v3 and v4 and
-  // shrank in v5, v6 and v7), so they must fail with the version message,
-  // never a misparse deeper in.
+  // cannot decode a v1..v7 payload (ServeConfig grew in v2, v3 and v4 and
+  // shrank in v5, v6 and v7; PipelineConfig shrank in v8), so they must
+  // fail with the version message, never a misparse deeper in.
   bytes[8] = 1;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
@@ -385,6 +386,9 @@ TEST_F(CorruptionFixture, RejectsUnsupportedSchemaVersions) {
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
   bytes[8] = 6;
+  dump(bad, bytes);
+  expect_load_error(bad, artifact::kErrBadVersion);
+  bytes[8] = 7;
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrBadVersion);
 }
@@ -417,34 +421,61 @@ TEST_F(CorruptionFixture, RejectsCorruptedSectionPayloads) {
   }
 }
 
-/// Grow the first section ("pipecfg") of a compiled artifact by one byte
-/// and recompute its size and FNV-1a, so the section still verifies but
-/// carries bytes past its last decoded field.
-void grow_first_section_checksummed(std::vector<char>& bytes) {
-  const std::size_t size_at = 20 + 8;      // header + section tag
-  const std::size_t checksum_at = size_at + 8;
-  const std::size_t payload_at = checksum_at + 8;
-  std::uint64_t size = 0;
+std::uint64_t get_u64(const std::vector<char>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    size |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                bytes[size_at + static_cast<std::size_t>(i)]))
-            << (8 * i);
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+             bytes[at + static_cast<std::size_t>(i)]))
+         << (8 * i);
   }
-  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(payload_at + size),
-               '\0');
-  ++size;
+  return v;
+}
+
+void put_u64(std::vector<char>& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Offset of the section header (its 8-byte tag) named `tag`.
+std::size_t find_section(const std::vector<char>& bytes,
+                         const std::string& tag) {
+  std::size_t at = 20;  // past the container header
+  while (at + 24 <= bytes.size()) {
+    if (std::string(bytes.data() + at, strnlen(bytes.data() + at, 8)) == tag) {
+      return at;
+    }
+    at += 24 + static_cast<std::size_t>(get_u64(bytes, at + 8));
+  }
+  ADD_FAILURE() << "no section '" << tag << "'";
+  return at;
+}
+
+/// Recompute the FNV-1a of the section whose header starts at `at`, so the
+/// section verifies whatever its payload now holds.
+void reseal_section(std::vector<char>& bytes, std::size_t at) {
+  const std::uint64_t size = get_u64(bytes, at + 8);
+  const std::size_t payload_at = at + 24;
   std::uint64_t checksum = 14695981039346656037ull;
   for (std::uint64_t i = 0; i < size; ++i) {
     checksum ^= static_cast<unsigned char>(
         bytes[payload_at + static_cast<std::size_t>(i)]);
     checksum *= 1099511628211ull;
   }
-  for (int i = 0; i < 8; ++i) {
-    bytes[size_at + static_cast<std::size_t>(i)] =
-        static_cast<char>((size >> (8 * i)) & 0xff);
-    bytes[checksum_at + static_cast<std::size_t>(i)] =
-        static_cast<char>((checksum >> (8 * i)) & 0xff);
-  }
+  put_u64(bytes, at + 16, checksum);
+}
+
+/// Grow the first section ("pipecfg") of a compiled artifact by one byte
+/// and recompute its size and FNV-1a, so the section still verifies but
+/// carries bytes past its last decoded field.
+void grow_first_section_checksummed(std::vector<char>& bytes) {
+  const std::size_t at = 20;  // the first section header
+  const std::uint64_t size = get_u64(bytes, at + 8);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at + 24 + size),
+               '\0');
+  put_u64(bytes, at + 8, size + 1);
+  reseal_section(bytes, at);
 }
 
 TEST_F(CorruptionFixture, RejectsCheckummedTrailingBytes) {
@@ -467,6 +498,18 @@ TEST_F(CorruptionFixture, VerifiesEverySectionBeforeDecodingAny) {
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x40);
   dump(bad, bytes);
   expect_load_error(bad, artifact::kErrChecksum);
+}
+
+TEST_F(CorruptionFixture, RejectsChecksummedHugeLayerCount) {
+  // A checksummed assignment whose layer count exceeds what its payload can
+  // hold is rejected before anything is allocated for it.
+  std::vector<char> bytes = slurp(good);
+  const std::size_t at = find_section(bytes, "assign");
+  // The layer count leads the payload.
+  put_u64(bytes, at + 24, std::numeric_limits<std::uint64_t>::max());
+  reseal_section(bytes, at);
+  dump(bad, bytes);
+  expect_load_error(bad, "artifact section payload exhausted");
 }
 
 TEST_F(CorruptionFixture, RejectsMissingFile) {
