@@ -160,7 +160,8 @@ void BM_RuntimeEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeEvaluate)->Arg(1)->Arg(2)->Arg(4);
 
-/// Evolution-search candidate scoring; genomes fan out across threads.
+/// Evolution search: one cost table per search, then table-lookup scoring
+/// on the calling thread.
 void BM_EvolutionSearch(benchmark::State& state) {
   const Network net = mini_resnet();
   PimEstimator est(CrossbarConfig{}, HardwareLut{});
@@ -169,7 +170,6 @@ void BM_EvolutionSearch(benchmark::State& state) {
   cfg.parents = 4;
   cfg.iterations = 4;
   cfg.crossbar_budget = 400;
-  set_num_threads(static_cast<int>(state.range(0)));
   std::int64_t evaluations = 0;
   for (auto _ : state) {
     EvolutionSearch search(net, est, cfg);
@@ -178,9 +178,8 @@ void BM_EvolutionSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(result.best_reward);
   }
   state.SetItemsProcessed(evaluations);
-  set_num_threads(1);
 }
-BENCHMARK(BM_EvolutionSearch)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_EvolutionSearch);
 
 }  // namespace
 }  // namespace epim

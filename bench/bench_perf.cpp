@@ -266,7 +266,8 @@ std::vector<Record> run_suite() {
     set_num_threads(1);
   }
 
-  // Evolution search (candidate scoring fan-out).
+  // Evolution search: cost-table construction plus table-lookup scoring,
+  // which runs on the calling thread.
   {
     const Network net = mini_resnet();
     PimEstimator est(CrossbarConfig{}, HardwareLut{});
@@ -276,14 +277,10 @@ std::vector<Record> run_suite() {
     cfg.iterations = 4;
     cfg.crossbar_budget = 400;
     const double evals = static_cast<double>(cfg.population) * cfg.iterations;
-    for (int threads : {1, 4}) {
-      set_num_threads(threads);
-      records.push_back(record(
-          "evolution_search", threads,
-          measure_ms([&] { EvolutionSearch(net, est, cfg).run(); }, 400.0),
-          evals));
-    }
-    set_num_threads(1);
+    records.push_back(record(
+        "evolution_search", 1,
+        measure_ms([&] { EvolutionSearch(net, est, cfg).run(); }, 400.0),
+        evals));
   }
 
   return records;

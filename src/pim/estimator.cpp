@@ -177,20 +177,31 @@ LayerCost PimEstimator::eval_epitome_layer(const ConvLayerInfo& layer,
   return cost;
 }
 
+LayerCost PimEstimator::eval_layer(const ConvLayerInfo& layer,
+                                   const std::optional<EpitomeSpec>& choice,
+                                   int weight_bits, int act_bits) const {
+  return choice.has_value()
+             ? eval_epitome_layer(layer, *choice, weight_bits, act_bits)
+             : eval_conv_layer(layer, weight_bits, act_bits);
+}
+
+double PimEstimator::static_energy_mj(std::int64_t crossbars,
+                                      double latency_ms) const {
+  // Every programmed crossbar leaks for the full inference.
+  return lut_.leakage_mw_per_xbar * static_cast<double>(crossbars) *
+         latency_ms * 1e-3;  // mW * ms = uJ -> mJ
+}
+
 NetworkCost PimEstimator::eval_network(const NetworkAssignment& assignment,
                                        const PrecisionConfig& precision) const {
   NetworkCost total;
   const auto& layers = assignment.layers();
   double used_cells = 0.0, allocated_cells = 0.0;
   for (std::int64_t i = 0; i < assignment.num_layers(); ++i) {
-    const int wb = precision.layer_weight_bits(i);
-    const auto& choice = assignment.choice(i);
-    LayerCost cost =
-        choice.has_value()
-            ? eval_epitome_layer(layers[static_cast<std::size_t>(i)], *choice,
-                                 wb, precision.act_bits)
-            : eval_conv_layer(layers[static_cast<std::size_t>(i)], wb,
-                              precision.act_bits);
+    LayerCost cost = eval_layer(layers[static_cast<std::size_t>(i)],
+                                assignment.choice(i),
+                                precision.layer_weight_bits(i),
+                                precision.act_bits);
     total.num_crossbars += cost.mapping.num_crossbars;
     total.latency_ms += cost.latency_ms;
     total.dynamic_energy_mj += cost.dynamic_energy_mj;
@@ -200,10 +211,8 @@ NetworkCost PimEstimator::eval_network(const NetworkAssignment& assignment,
                        static_cast<double>(config_.rows * config_.cols);
     total.layers.push_back(std::move(cost));
   }
-  // Static energy: every programmed crossbar leaks for the full inference.
-  total.static_energy_mj = lut_.leakage_mw_per_xbar *
-                           static_cast<double>(total.num_crossbars) *
-                           total.latency_ms * 1e-3;  // mW * ms = uJ -> mJ
+  total.static_energy_mj =
+      static_energy_mj(total.num_crossbars, total.latency_ms);
   total.utilization = allocated_cells > 0 ? used_cells / allocated_cells : 0.0;
   return total;
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,9 +91,20 @@ class PimEstimator {
                                const EpitomeSpec& spec, int weight_bits,
                                int act_bits) const;
 
+  /// Cost of one layer under one choice: the epitome when `choice` holds a
+  /// spec, the plain convolution otherwise.
+  LayerCost eval_layer(const ConvLayerInfo& layer,
+                       const std::optional<EpitomeSpec>& choice,
+                       int weight_bits, int act_bits) const;
+
+  /// Leakage of `crossbars` programmed crossbars over a whole inference of
+  /// `latency_ms`.
+  double static_energy_mj(std::int64_t crossbars, double latency_ms) const;
+
   /// Cost of a whole network under an epitome assignment and precision
-  /// config. FP32 (weight_bits == 32) is modelled as the fixed-point
-  /// equivalent in CrossbarConfig.
+  /// config: eval_layer summed in layer order, plus static_energy_mj. FP32
+  /// (weight_bits == 32) is modelled as the fixed-point equivalent in
+  /// CrossbarConfig.
   NetworkCost eval_network(const NetworkAssignment& assignment,
                            const PrecisionConfig& precision) const;
 

@@ -115,10 +115,10 @@ void PipelineConfig::validate() const {
     EPIM_CHECK(search.evo.crossbar_budget > 0,
                "search is enabled but the crossbar budget is zero; Eq. 7's "
                "feasibility mask needs a positive budget");
-    EPIM_CHECK(search.evo.population >= 1, "search population must be >= 1");
+    EPIM_CHECK(search.evo.population >= 2, "search population must be >= 2");
     EPIM_CHECK(
-        search.evo.parents >= 1 && search.evo.parents <= search.evo.population,
-        "search parents must be in [1, population]");
+        search.evo.parents >= 1 && search.evo.parents < search.evo.population,
+        "search parents must be in [1, population)");
     EPIM_CHECK(search.evo.iterations >= 1, "search iterations must be >= 1");
     EPIM_CHECK(
         search.evo.mutation_rate >= 0.0 && search.evo.mutation_rate <= 1.0,

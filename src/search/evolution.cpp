@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 
 namespace epim {
 
@@ -30,10 +29,23 @@ EvolutionSearch::EvolutionSearch(const Network& network,
              "parents must be in [1, population)");
   EPIM_CHECK(config_.iterations >= 1, "iterations must be positive");
   EPIM_CHECK(config_.crossbar_budget > 0, "crossbar budget must be positive");
-  for (const auto& layer : network.weighted_layers()) {
-    candidates_.push_back(candidate_specs(layer.conv, config_.candidates));
+  EPIM_CHECK(config_.mutation_rate >= 0.0 && config_.mutation_rate <= 1.0,
+             "mutation_rate must be in [0, 1]");
+  const auto& layers = network.weighted_layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    candidates_.push_back(candidate_specs(layers[i].conv, config_.candidates));
     EPIM_ASSERT(!candidates_.back().empty(),
                 "every layer needs at least one candidate");
+    const int wb =
+        config_.precision.layer_weight_bits(static_cast<std::int64_t>(i));
+    std::vector<LayerEntry>& row = costs_.emplace_back();
+    row.reserve(candidates_.back().size());
+    for (const auto& choice : candidates_.back()) {
+      const LayerCost cost = estimator.eval_layer(layers[i], choice, wb,
+                                                  config_.precision.act_bits);
+      row.push_back({cost.mapping.num_crossbars, cost.latency_ms,
+                     cost.dynamic_energy_mj});
+    }
   }
 }
 
@@ -53,6 +65,19 @@ NetworkAssignment EvolutionSearch::to_assignment(const Genome& genome) const {
         candidates_[i][static_cast<std::size_t>(genome[i])]);
   }
   return NetworkAssignment(*network_, std::move(choices));
+}
+
+double EvolutionSearch::score(const Genome& genome) const {
+  NetworkCost cost;
+  for (std::size_t i = 0; i < genome.size(); ++i) {
+    const LayerEntry& e = costs_[i][static_cast<std::size_t>(genome[i])];
+    cost.num_crossbars += e.num_crossbars;
+    cost.latency_ms += e.latency_ms;
+    cost.dynamic_energy_mj += e.dynamic_energy_mj;
+  }
+  cost.static_energy_mj =
+      estimator_->static_energy_mj(cost.num_crossbars, cost.latency_ms);
+  return reward_of(cost);
 }
 
 double EvolutionSearch::reward_of(const NetworkCost& cost) const {
@@ -158,50 +183,36 @@ EvoSearchResult EvolutionSearch::run() {
     population.push_back(random_genome(rng));
   }
 
-  EvoSearchResult result{NetworkAssignment::baseline(*network_), 0.0,
-                         NetworkCost{}, {}, 0, 0.0};
   double space = 1.0;
   for (const auto& c : candidates_) {
     space *= static_cast<double>(c.size());
   }
-  result.search_space_size = space;
 
+  Genome best;
+  double best_reward = 0.0;
+  std::vector<double> reward_history;
+  std::int64_t evaluations = 0;
   std::vector<Scored> scored;
-  std::vector<NetworkCost> costs;
   for (int iter = 0; iter < config_.iterations; ++iter) {
-    // Candidate scoring fans out across threads: the estimator is pure, and
-    // every genome writes its own slot, so the scores -- and therefore the
-    // winner -- are identical at any thread count.
-    scored.assign(population.size(), Scored{});
-    costs.assign(population.size(), NetworkCost{});
-    parallel_for(static_cast<std::int64_t>(population.size()),
-                 [&](std::int64_t i) {
-                   const std::size_t s = static_cast<std::size_t>(i);
-                   const NetworkAssignment assignment =
-                       to_assignment(population[s]);
-                   costs[s] =
-                       estimator_->eval_network(assignment, config_.precision);
-                   scored[s] = {population[s], reward_of(costs[s])};
-                 });
-    // Best-so-far update stays sequential in population order (first
-    // strict improvement wins), exactly as the serial loop behaved.
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-      ++result.evaluations;
-      if (scored[i].reward > result.best_reward) {
-        result.best_reward = scored[i].reward;
-        result.best = to_assignment(scored[i].genome);
-        result.best_cost = costs[i];
+    scored.clear();
+    for (Genome& genome : population) {
+      const double reward = score(genome);
+      ++evaluations;
+      // Best so far in population order: the first strict improvement wins.
+      if (reward > best_reward) {
+        best_reward = reward;
+        best = genome;
       }
+      scored.push_back({std::move(genome), reward});
     }
-    result.reward_history.push_back(result.best_reward);
+    reward_history.push_back(best_reward);
     // Select parents (Algorithm 1 line 9) and refill with mutants.
     std::sort(scored.begin(), scored.end(),
               [](const Scored& a, const Scored& b) {
                 return a.reward > b.reward;
               });
     population.clear();
-    const int parents = std::min<int>(config_.parents,
-                                      static_cast<int>(scored.size()));
+    const int parents = config_.parents;  // < population == scored.size()
     for (int p = 0; p < parents; ++p) {
       population.push_back(scored[static_cast<std::size_t>(p)].genome);
     }
@@ -210,12 +221,14 @@ EvoSearchResult EvolutionSearch::run() {
       population.push_back(
           mutate(scored[static_cast<std::size_t>(p)].genome, rng));
     }
-    EPIM_LOG(kDebug) << "evo iter " << iter << " best reward "
-                     << result.best_reward;
+    EPIM_LOG(kDebug) << "evo iter " << iter << " best reward " << best_reward;
   }
-  EPIM_CHECK(result.best_reward > 0.0,
+  EPIM_CHECK(best_reward > 0.0,
              "evolution search found no feasible assignment; raise the "
              "crossbar budget");
+  EvoSearchResult result{to_assignment(best), best_reward, NetworkCost{},
+                         std::move(reward_history), evaluations, space};
+  result.best_cost = estimator_->eval_network(result.best, config_.precision);
   return result;
 }
 

@@ -11,6 +11,18 @@
 // feasible one. Each generation keeps the top `parents` individuals and
 // fills the population with mutated children (random layers reassigned to
 // random candidates), exactly the loop of Algorithm 1.
+//
+// Scoring is a table lookup. A layer's cost depends only on (layer,
+// candidate, weight bits, act bits), and the precision is fixed for the
+// whole search, so the constructor prices every (layer, candidate) pair once
+// with PimEstimator::eval_layer. A genome's crossbars, latency and dynamic
+// energy are its entries summed in layer order from zero, and its static
+// energy is PimEstimator::static_energy_mj of those sums. That is the same
+// operations on the same doubles in the same order as eval_network, so every
+// reward -- and therefore the winner, reward_history and evaluations -- is
+// bit-identical to scoring each genome with eval_network. Only the winner is
+// built as a NetworkAssignment and priced with eval_network, once, at the
+// end of run().
 #pragma once
 
 #include <cstdint>
@@ -66,7 +78,16 @@ class EvolutionSearch {
  private:
   using Genome = std::vector<int>;
 
+  /// One cost-table entry: the parts of a LayerCost that eval_network sums.
+  struct LayerEntry {
+    std::int64_t num_crossbars = 0;
+    double latency_ms = 0.0;
+    double dynamic_energy_mj = 0.0;
+  };
+
   NetworkAssignment to_assignment(const Genome& genome) const;
+  /// reward_of the genome's cost, summed from the cost table.
+  double score(const Genome& genome) const;
   double reward_of(const NetworkCost& cost) const;
   Genome random_genome(Rng& rng) const;
   Genome mutate(const Genome& parent, Rng& rng) const;
@@ -75,6 +96,8 @@ class EvolutionSearch {
   const PimEstimator* estimator_;
   EvoSearchConfig config_;
   std::vector<std::vector<std::optional<EpitomeSpec>>> candidates_;
+  /// costs_[layer][candidate], parallel to candidates_.
+  std::vector<std::vector<LayerEntry>> costs_;
 };
 
 }  // namespace epim

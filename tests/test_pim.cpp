@@ -9,6 +9,7 @@
 #include "pim/crossbar.hpp"
 #include "pim/estimator.hpp"
 #include "pim/mapping.hpp"
+#include "search/evolution.hpp"
 
 namespace epim {
 namespace {
@@ -313,6 +314,59 @@ TEST(Estimator, MixedPrecisionConfigPerLayerLookup) {
   EXPECT_THROW(p.layer_weight_bits(3), InvalidArgument);
   PrecisionConfig u = PrecisionConfig::uniform(7, 9);
   EXPECT_EQ(u.layer_weight_bits(100), 7);
+}
+
+TEST(PimEstimator, LayerSumEqualsEvalNetwork) {
+  // The evolution search scores a genome by summing per-layer eval_layer
+  // entries in layer order and adding static_energy_mj; that must be
+  // eval_network to the last bit, or the search could pick another winner.
+  PimEstimator est(CrossbarConfig{}, HardwareLut{});
+  const Network net = resnet50();
+  EvoSearchConfig cfg;
+  cfg.crossbar_budget = 1;
+  cfg.candidates.wrap_output = true;
+  const EvolutionSearch search(net, est, cfg);
+  const auto& layers = net.weighted_layers();
+  ASSERT_EQ(layers.size(), 54u);
+  PrecisionConfig mixed;
+  mixed.weight_bits.clear();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    mixed.weight_bits.push_back(i % 5 == 4 ? 32 : 3 + static_cast<int>(i % 7));
+  }
+  Rng rng(0x1A7E'5E0Du);
+  for (const PrecisionConfig& precision :
+       {PrecisionConfig::uniform(9, 9), mixed}) {
+    for (int g = 0; g < 200; ++g) {
+      std::vector<std::optional<EpitomeSpec>> choices;
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        const auto& cands =
+            search.layer_candidates(static_cast<std::int64_t>(i));
+        choices.push_back(cands[static_cast<std::size_t>(
+            rng.index(static_cast<int>(cands.size())))]);
+      }
+      NetworkCost sum;
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        const auto layer = static_cast<std::int64_t>(i);
+        const LayerCost c =
+            est.eval_layer(layers[i], choices[i],
+                           precision.layer_weight_bits(layer),
+                           precision.act_bits);
+        sum.num_crossbars += c.mapping.num_crossbars;
+        sum.latency_ms += c.latency_ms;
+        sum.dynamic_energy_mj += c.dynamic_energy_mj;
+      }
+      sum.static_energy_mj =
+          est.static_energy_mj(sum.num_crossbars, sum.latency_ms);
+      const NetworkCost want = est.eval_network(
+          NetworkAssignment(net, std::move(choices)), precision);
+      EXPECT_EQ(sum.num_crossbars, want.num_crossbars) << "genome " << g;
+      EXPECT_EQ(sum.latency_ms, want.latency_ms) << "genome " << g;
+      EXPECT_EQ(sum.dynamic_energy_mj, want.dynamic_energy_mj);
+      EXPECT_EQ(sum.static_energy_mj, want.static_energy_mj);
+      EXPECT_EQ(sum.energy_mj(), want.energy_mj());
+      EXPECT_EQ(sum.edp(), want.edp());
+    }
+  }
 }
 
 struct BitsCase {

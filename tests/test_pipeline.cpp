@@ -177,6 +177,14 @@ TEST(PipelineConfig, RejectsBadSearchSettings) {
   cfg.search.evo.parents = 4;
   cfg.search.evo.population = 0;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
+  // EvolutionSearch needs a population of two and at least one child slot.
+  cfg.search.evo.population = 1;
+  cfg.search.evo.parents = 1;
+  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  cfg.search.evo.population = 4;
+  cfg.search.evo.parents = 4;
+  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  cfg.search.evo.parents = 4;
   cfg.search.evo.population = 8;
   cfg.search.evo.iterations = 0;
   EXPECT_THROW(cfg.validate(), InvalidArgument);

@@ -1,8 +1,11 @@
 // Tests for src/search: Algorithm 1's evolutionary layer-wise epitome design.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "nn/resnet.hpp"
+#include "pipeline/pipeline.hpp"
 #include "search/evolution.hpp"
 
 namespace epim {
@@ -30,6 +33,12 @@ TEST(EvoSearch, ConfigValidation) {
   EXPECT_THROW((EvolutionSearch(net, est, cfg)), InvalidArgument);
   cfg = fast_config(100);
   cfg.parents = 16;
+  EXPECT_THROW((EvolutionSearch(net, est, cfg)), InvalidArgument);
+  // Rng::flip's bernoulli_distribution needs a probability in [0, 1].
+  cfg = fast_config(100);
+  cfg.mutation_rate = 1.5;
+  EXPECT_THROW((EvolutionSearch(net, est, cfg)), InvalidArgument);
+  cfg.mutation_rate = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((EvolutionSearch(net, est, cfg)), InvalidArgument);
 }
 
@@ -164,6 +173,74 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ObjectiveCase{SearchObjective::kLatency},
                       ObjectiveCase{SearchObjective::kEnergy},
                       ObjectiveCase{SearchObjective::kEdp}));
+
+// ---- golden outcomes: winners pinned to the last bit ----
+
+void expect_outcome(const EvoSearchResult& r, std::int64_t evaluations,
+                    double reward, std::int64_t crossbars, double latency_ms,
+                    double energy_mj) {
+  EXPECT_EQ(r.evaluations, evaluations);
+  EXPECT_EQ(r.best_reward, reward);
+  EXPECT_EQ(r.reward_history.back(), reward);
+  EXPECT_EQ(r.best_cost.num_crossbars, crossbars);
+  EXPECT_EQ(r.best_cost.latency_ms, latency_ms);
+  EXPECT_EQ(r.best_cost.energy_mj(), energy_mj);
+}
+
+TEST(EvoSearchGolden, DesignSearchSettings) {
+  // The design_space_exploration example's search (also the benchmark's
+  // design_search workload): 1000 candidates under 60% of the uniform
+  // design's crossbars, with channel wrapping.
+  const Network net = resnet50();
+  PipelineConfig cfg;
+  const auto uniform_cost = Pipeline(cfg).compile(net).estimate().cost;
+  cfg.search.enabled = true;
+  cfg.search.evo.population = 40;
+  cfg.search.evo.iterations = 25;
+  cfg.search.evo.parents = 10;
+  cfg.search.evo.crossbar_budget = uniform_cost.num_crossbars * 6 / 10;
+  cfg.search.evo.candidates.wrap_output = true;
+  cfg.search.evo.objective = SearchObjective::kLatency;
+  EXPECT_EQ(cfg.search.evo.crossbar_budget, 1341);
+  CompiledModel model = Pipeline(cfg).compile(net);
+  expect_outcome(model.search(), 1000, 0.025812150602696288, 1304,
+                 38.741444500000007, 7.4543987573200017);
+}
+
+TEST(EvoSearchGolden, EnergyObjective) {
+  const Network net = resnet50();
+  PimEstimator est(CrossbarConfig{}, HardwareLut{});
+  const auto r =
+      EvolutionSearch(net, est, fast_config(3000, SearchObjective::kEnergy))
+          .run();
+  expect_outcome(r, 128, 0.06532495313886813, 797, 93.118144000000072,
+                 15.308085990880006);
+}
+
+TEST(EvoSearchGolden, EdpObjective) {
+  const Network net = resnet50();
+  PimEstimator est(CrossbarConfig{}, HardwareLut{});
+  const auto r =
+      EvolutionSearch(net, est, fast_config(3500, SearchObjective::kEdp))
+          .run();
+  expect_outcome(r, 128, 0.0011639224753407873, 2236, 49.18132800000005,
+                 17.469307684880011);
+}
+
+TEST(EvoSearchGolden, HawqMixedPipelineSearch) {
+  // Every cost-table entry is priced at its own layer's HAWQ-lite bits.
+  const Network net = resnet50();
+  PipelineConfig cfg;
+  cfg.precision = PrecisionPlan::hawq_mixed();
+  cfg.search.enabled = true;
+  cfg.search.evo.population = 20;
+  cfg.search.evo.iterations = 10;
+  cfg.search.evo.parents = 5;
+  cfg.search.evo.crossbar_budget = 872;
+  CompiledModel model = Pipeline(cfg).compile(net);
+  expect_outcome(model.search(), 200, 0.01775266083981732, 830,
+                 56.32958399999999, 8.3768986515680002);
+}
 
 }  // namespace
 }  // namespace epim
